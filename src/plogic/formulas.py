@@ -3,12 +3,30 @@
 The kernel language has exactly two connectives, negation and conjunction.
 Disjunction and implication are constructor sugar that expands at build
 time, so every downstream algorithm handles two node shapes plus atoms.
+
+Every whole-tree walk goes through one private fold, ``_fold(roots, leaf,
+neg, conj)``, which keeps its own stack and so has no depth limit.  Its
+contract:
+
+* It visits each distinct node object under ``roots`` once, however many
+  paths lead to it, entering left children before right ones.
+* ``leaf(node)`` is called when a node is first reached, in that
+  left-to-right order.  A value other than None becomes the node's value
+  and the fold does not descend; atoms must get one.
+* Every other node gets ``neg(child_value)`` or ``conj(left_value,
+  right_value)``, children before parents.
+* A node's value is dropped as soon as its last parent has read it, so
+  a walk holds only the values still waiting for a parent.
+
+Truth tables, evaluation (a one-bit table), atom collection and the proof
+synthesizer's rewrites are all folds.  Structural equality and the
+formatter walk with their own explicit stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import AtomOutOfRangeError, TooManyAtomsError
 
@@ -28,7 +46,9 @@ class Sentence:
     """Immutable sentence tree; subclasses are AtomRef, Not and And.
 
     Nodes precompute a structural hash so that dictionary-heavy algorithms
-    (proof deduplication, truth-table memoization) stay cheap.
+    (proof deduplication, truth-table memoization) stay cheap.  Equality is
+    structural and ``repr``/``str`` give the concrete syntax; both walk
+    with an explicit stack, so depth is unbounded.
     """
 
     __slots__ = ("_hash", "__weakref__")
@@ -36,8 +56,31 @@ class Sentence:
     def __hash__(self):
         return self._hash
 
-    def __str__(self):
-        return _plain_format(self)
+    def __eq__(self, other):
+        # Walk both trees down their left spines; only right pairs wait.
+        pending = []
+        a, b = self, other
+        while True:
+            if a is not b:
+                t = type(a)
+                if t is not type(b) or a._hash != b._hash:
+                    return False
+                if t is AtomRef:
+                    if a.atom is not b.atom and a.atom != b.atom:
+                        return False
+                elif t is Not:
+                    a, b = a.child, b.child
+                    continue
+                else:
+                    pending.append((a.right, b.right))
+                    a, b = a.left, b.left
+                    continue
+            if not pending:
+                return True
+            a, b = pending.pop()
+
+    def __repr__(self):
+        return format_sentence(self)
 
 
 class AtomRef(Sentence):
@@ -47,16 +90,6 @@ class AtomRef(Sentence):
         self.atom = atom
         self._hash = hash((1, atom.id, atom.name))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return type(other) is AtomRef and self.atom == other.atom
-
-    __hash__ = Sentence.__hash__
-
-    def __repr__(self):
-        return f"AtomRef({self.atom.id}:{self.atom.name})"
-
 
 class Not(Sentence):
     __slots__ = ("child",)
@@ -64,20 +97,6 @@ class Not(Sentence):
     def __init__(self, child: Sentence):
         self.child = child
         self._hash = hash((2, child._hash))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Not
-            and self._hash == other._hash
-            and self.child == other.child
-        )
-
-    __hash__ = Sentence.__hash__
-
-    def __repr__(self):
-        return f"Not({self.child!r})"
 
 
 class And(Sentence):
@@ -87,21 +106,6 @@ class And(Sentence):
         self.left = left
         self.right = right
         self._hash = hash((3, left._hash, right._hash))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is And
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    __hash__ = Sentence.__hash__
-
-    def __repr__(self):
-        return f"And({self.left!r}, {self.right!r})"
 
 
 def Or(a: Sentence, b: Sentence) -> Sentence:
@@ -123,21 +127,129 @@ def as_implication(s: Sentence) -> tuple[Sentence, Sentence] | None:
     return None
 
 
-def _plain_format(s: Sentence) -> str:
-    if type(s) is AtomRef:
-        return s.atom.name
-    if type(s) is Not:
-        child = _plain_format(s.child)
-        if type(s.child) is AtomRef:
-            return f"!{child}"
-        return f"!({child})" if type(s.child) is And else f"!{child}"
-    left = _plain_format(s.left)
-    right = _plain_format(s.right)
-    if type(s.left) is And:
-        left = f"({left})"
-    if type(s.right) is And:
-        right = f"({right})"
-    return f"{left} & {right}"
+def _fold(roots: Sequence[Sentence], leaf: Callable, neg: Callable | None,
+          conj: Callable | None) -> list | None:
+    """Post-order fold over the DAG under ``roots``; see the module notes.
+
+    Returns the value of each root, or None when ``neg`` is None (then
+    only ``leaf`` runs, once on each distinct node).
+    """
+    memo: dict[int, object] = {}  # id(node) -> value, until its last parent reads it
+    uses: dict[int, int] = {}  # id(node) -> parent edges (and root slots) not yet read
+    order: list[Sentence] = []  # interior nodes, children first
+    stack: list = list(reversed(roots))
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        node = pop()
+        if node is None:  # marker: the node below it has all children done
+            order.append(pop())
+            continue
+        key = id(node)
+        if key in uses:
+            uses[key] += 1
+            continue
+        uses[key] = 1
+        value = leaf(node)
+        if value is not None:
+            memo[key] = value
+        elif type(node) is Not:
+            push(node)
+            push(None)
+            push(node.child)
+        else:
+            push(node)
+            push(None)
+            push(node.right)
+            push(node.left)
+    if neg is None:
+        return None
+    # Reading a child's value spends one of its uses; the last read drops it.
+    # This loop runs once per node of every table, so it is written out.
+    for node in order:
+        if type(node) is Not:
+            key = id(node.child)
+            if uses[key] == 1:
+                value = neg(memo.pop(key))
+            else:
+                uses[key] -= 1
+                value = neg(memo[key])
+        else:
+            key = id(node.left)
+            if uses[key] == 1:
+                left = memo.pop(key)
+            else:
+                uses[key] -= 1
+                left = memo[key]
+            key = id(node.right)
+            if uses[key] == 1:
+                value = conj(left, memo.pop(key))
+            else:
+                uses[key] -= 1
+                value = conj(left, memo[key])
+        memo[id(node)] = value
+    return [memo[id(root)] for root in roots]
+
+
+# Formatter precedence levels, loosest first.
+_PREC_IMPL = 0
+_PREC_OR = 1
+_PREC_AND = 2
+_PREC_UNARY = 3
+
+
+def format_sentence(s: Sentence) -> str:
+    """Render a kernel tree in the concrete grammar; parses back to the
+    structurally identical tree.
+
+    not(not a and not b) renders as a | b and not(a and not b) as a -> b.
+    When both readings apply (negated antecedent) the two denote the same
+    tree, so round-tripping is unaffected either way; the implication
+    reading is kept when the antecedent is itself implication-shaped,
+    which is how proof lines read naturally.
+    """
+    out: list[str] = []
+    emit = out.append
+    stack: list = [_PREC_IMPL, s]  # pieces of text, or a node above its context
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        node = pop()
+        if type(node) is str:
+            emit(node)
+            continue
+        context = pop()
+        while True:  # down the left spine; right operands wait on the stack
+            t = type(node)
+            if t is AtomRef:
+                emit(node.atom.name)
+                break
+            if t is Not:
+                body = node.child
+                if type(body) is not And or type(body.right) is not Not:
+                    emit("!")
+                    node, context = body, _PREC_UNARY + 1
+                    continue
+                a, b = body.left, body.right.child
+                if type(a) is Not and as_implication(a) is None:
+                    a, op, prec, b_context = a.child, " | ", _PREC_OR, _PREC_AND
+                else:
+                    op, prec, b_context = " -> ", _PREC_IMPL, _PREC_IMPL
+                a_context = _PREC_OR
+            else:
+                a, b = node.left, node.right
+                op, prec, a_context, b_context = " & ", _PREC_AND, _PREC_AND, _PREC_UNARY
+            if context > prec:
+                emit("(")
+                push(")")
+            if type(b) is AtomRef:
+                push(b.atom.name)
+            else:
+                push(b_context)
+                push(b)
+            push(op)
+            node, context = a, a_context
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -175,67 +287,52 @@ class Valuation:
         return idx
 
 
+def _atoms(s: Sentence) -> dict[int, Atom]:
+    found: dict[int, Atom] = {}
+
+    def leaf(node):
+        if type(node) is AtomRef:
+            found.setdefault(node.atom.id, node.atom)
+            return node
+        return None
+
+    _fold((s,), leaf, None, None)
+    return found
+
+
 def atom_ids(s: Sentence) -> frozenset[int]:
     """Set of atom ids occurring in the sentence."""
-    found: set[int] = set()
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is AtomRef:
-            found.add(node.atom.id)
-        elif t is Not:
-            stack.append(node.child)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(found)
+    return frozenset(_atoms(s))
 
 
 def atoms_of(s: Sentence) -> tuple[Atom, ...]:
     """Occurring atoms, sorted by id."""
-    found: dict[int, Atom] = {}
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is AtomRef:
-            found[node.atom.id] = node.atom
-        elif t is Not:
-            stack.append(node.child)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
+    found = _atoms(s)
     return tuple(found[i] for i in sorted(found))
 
 
+def _table(s: Sentence, base: Mapping[int, int], full: int, where: str) -> int:
+    """Fold ``s`` into a bitmask: atom id i is ``base[i]``, a negation
+    ``full ^ x`` and a conjunction ``x & y``.  An atom missing from
+    ``base`` is reported as lying ``where``."""
+
+    def leaf(node):
+        if type(node) is not AtomRef:
+            return None
+        try:
+            return base[node.atom.id]
+        except KeyError:
+            raise AtomOutOfRangeError(
+                f"atom {node.atom.name} (id {node.atom.id}) {where}") from None
+
+    return _fold((s,), leaf, full.__xor__, int.__and__)[0]
+
+
 def evaluate(s: Sentence, v: Valuation) -> int:
-    """Two-valued evaluation: not flips, and multiplies."""
+    """Two-valued evaluation: not flips, and multiplies (a one-bit table)."""
     bits = v.bits
-    n = len(bits)
-    memo: dict[int, int] = {}
-
-    def rec(node: Sentence) -> int:
-        key = id(node)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        t = type(node)
-        if t is AtomRef:
-            i = node.atom.id
-            if not 0 <= i < n:
-                raise AtomOutOfRangeError(
-                    f"atom {node.atom.name} (id {i}) outside valuation of size {n}"
-                )
-            val = bits[i]
-        elif t is Not:
-            val = 1 - rec(node.child)
-        else:
-            val = rec(node.left) & rec(node.right)
-        memo[key] = val
-        return val
-
-    return rec(s)
+    return _table(s, dict(enumerate(bits)), 1,
+                  f"outside valuation of size {len(bits)}")
 
 
 def _atom_mask(position: int, m: int) -> int:
@@ -262,32 +359,8 @@ def truth_table(s: Sentence, ids: Sequence[int]) -> int:
     m = len(ids)
     if m > MAX_ATOMS:
         raise TooManyAtomsError(f"{m} atoms exceed the cap of {MAX_ATOMS}")
-    size = 1 << m
-    full = (1 << size) - 1
     base = {a: _atom_mask(i, m) for i, a in enumerate(ids)}
-    memo: dict[Sentence, int] = {}
-
-    def rec(node: Sentence) -> int:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        t = type(node)
-        if t is AtomRef:
-            try:
-                val = base[node.atom.id]
-            except KeyError:
-                raise AtomOutOfRangeError(
-                    f"atom {node.atom.name} (id {node.atom.id}) "
-                    f"not among table atoms {ids}"
-                ) from None
-        elif t is Not:
-            val = full ^ rec(node.child)
-        else:
-            val = rec(node.left) & rec(node.right)
-        memo[node] = val
-        return val
-
-    return rec(s)
+    return _table(s, base, (1 << (1 << m)) - 1, f"not among table atoms {ids}")
 
 
 def is_tautology(s: Sentence) -> bool:

@@ -1,9 +1,13 @@
-"""Concrete formula syntax: tokenizer, recursive-descent parser, formatter.
+"""Concrete formula syntax: an operator-precedence parser, and the formatter.
 
 Grammar (loosest to tightest): ``->`` right-associative implication,
 ``|`` disjunction, ``&`` conjunction, ``!`` negation, parentheses, and
 atoms matching ``[A-Za-z_][A-Za-z0-9_]*``.  ``|`` and ``->`` expand to
 the kernel connectives at parse time.
+
+The parser keeps explicit operand and operator stacks, so nesting depth
+is unbounded.  A character that starts no token is reported before any
+grammar error, wherever it stands.
 """
 
 from __future__ import annotations
@@ -12,40 +16,14 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import FormulaSyntaxError
-from .formulas import And, Atom, AtomRef, Implies, Not, Or, Sentence, as_implication
+from .formulas import And, Atom, AtomRef, Implies, Not, Or, Sentence
+from .formulas import format_sentence  # noqa: F401  (re-exported)
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<arrow>->)"
-    r"|(?P<bang>!)"
-    r"|(?P<amp>&)"
-    r"|(?P<pipe>\|)"
-    r"|(?P<lparen>\()"
-    r"|(?P<rparen>\))"
-)
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[!&|()]")
+_VALID_RE = re.compile(r"(?:\s+|[A-Za-z_][A-Za-z0-9_]*|->|[!&|()])*")
 
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    column: int  # 1-based
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos + 1)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos + 1))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text) + 1))
-    return tokens
+# Binary operators: precedence (loosest first) and the tree they build.
+_BINARY = {"->": (0, Implies), "|": (1, Or), "&": (2, And)}
 
 
 @dataclass
@@ -57,76 +35,12 @@ class ParsedFormula:
     atom_table: dict[str, Atom] = field(default_factory=dict)
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], table: dict[str, Atom]):
-        self.tokens = tokens
-        self.pos = 0
-        self.table = table
-
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.current
-        if tok.kind != kind:
-            raise FormulaSyntaxError(f"expected {what}", tok.column)
-        return self.advance()
-
-    def parse(self) -> Sentence:
-        ast = self.implication()
-        tok = self.current
-        if tok.kind != "eof":
-            raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.column)
-        return ast
-
-    def implication(self) -> Sentence:
-        left = self.disjunction()
-        if self.current.kind == "arrow":
-            self.advance()
-            return Implies(left, self.implication())  # right-associative
-        return left
-
-    def disjunction(self) -> Sentence:
-        node = self.conjunction()
-        while self.current.kind == "pipe":
-            self.advance()
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Sentence:
-        node = self.unary()
-        while self.current.kind == "amp":
-            self.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Sentence:
-        if self.current.kind == "bang":
-            self.advance()
-            return Not(self.unary())
-        return self.primary()
-
-    def primary(self) -> Sentence:
-        tok = self.current
-        if tok.kind == "name":
-            self.advance()
-            atom = self.table.get(tok.text)
-            if atom is None:
-                atom = Atom(len(self.table), tok.text)
-                self.table[tok.text] = atom
-            return AtomRef(atom)
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.implication()
-            self.expect("rparen", "')'")
-            return node
-        raise FormulaSyntaxError("expected an atom, '!', or '('", tok.column)
+def _column(text: str, k: int) -> int:
+    """1-based column of the k-th token, or just past the end."""
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        if i == k:
+            return m.start() + 1
+    return len(text) + 1
 
 
 def parse_formula(text: str, atom_table: dict[str, Atom] | None = None) -> ParsedFormula:
@@ -136,54 +50,60 @@ def parse_formula(text: str, atom_table: dict[str, Atom] | None = None) -> Parse
     basic set (the table is extended in place).
     """
     table = atom_table if atom_table is not None else {}
-    ast = _Parser(_tokenize(text), table).parse()
-    return ParsedFormula(text, ast, table)
+    bad = _VALID_RE.match(text).end()
+    if bad < len(text):
+        raise FormulaSyntaxError(f"unexpected character {text[bad]!r}", bad + 1)
+    tokens = _TOKEN_RE.findall(text)
+    operands: list[Sentence] = []
+    ops: list[str] = []  # "(", "!" and binary operators still waiting
 
+    def reduce() -> None:
+        right = operands.pop()
+        operands[-1] = _BINARY[ops.pop()][1](operands[-1], right)
 
-# Formatter precedence levels, loosest first.
-_PREC_IMPL = 0
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_UNARY = 3
-
-
-def _sugar(s: Sentence):
-    """Recognize the display sugar for a kernel tree.
-
-    not(not a and not b) renders as a | b and not(a and not b) as a -> b.
-    When both readings apply (negated antecedent) the two denote the same
-    tree, so round-tripping is unaffected either way; the implication
-    reading is kept when the antecedent is itself implication-shaped,
-    which is how proof lines read naturally.
-    """
-    if type(s) is Not and type(s.child) is And:
-        body = s.child
-        if type(body.right) is Not:
-            if type(body.left) is Not and as_implication(body.left) is None:
-                return "or", body.left.child, body.right.child
-            return "implies", body.left, body.right.child
-    return None
-
-
-def format_sentence(s: Sentence) -> str:
-    """Render a kernel tree in the concrete grammar; parses back to the
-    structurally identical tree."""
-    return _format(s, _PREC_IMPL)
-
-
-def _format(s: Sentence, context: int) -> str:
-    sugar = _sugar(s)
-    if sugar is not None:
-        op, a, b = sugar
-        if op == "or":
-            text = f"{_format(a, _PREC_OR)} | {_format(b, _PREC_AND)}"
-            return f"({text})" if context > _PREC_OR else text
-        text = f"{_format(a, _PREC_OR)} -> {_format(b, _PREC_IMPL)}"
-        return f"({text})" if context > _PREC_IMPL else text
-    t = type(s)
-    if t is AtomRef:
-        return s.atom.name
-    if t is Not:
-        return f"!{_format(s.child, _PREC_UNARY + 1)}"
-    text = f"{_format(s.left, _PREC_AND)} & {_format(s.right, _PREC_UNARY)}"
-    return f"({text})" if context > _PREC_AND else text
+    open_parens = 0
+    want_operand = True
+    for k, tok in enumerate(tokens):
+        if want_operand:
+            if tok == "!" or tok == "(":
+                open_parens += tok == "("
+                ops.append(tok)
+                continue
+            if tok in _BINARY or tok == ")":
+                raise FormulaSyntaxError("expected an atom, '!', or '('", _column(text, k))
+            atom = table.get(tok)
+            if atom is None:
+                atom = Atom(len(table), tok)
+                table[tok] = atom
+            node = AtomRef(atom)
+        elif tok in _BINARY:
+            bound = _BINARY[tok][0] + (tok == "->")  # -> is right-associative
+            while ops and ops[-1] != "(" and _BINARY[ops[-1]][0] >= bound:
+                reduce()
+            ops.append(tok)
+            want_operand = True
+            continue
+        elif tok == ")" and open_parens:
+            while ops[-1] != "(":
+                reduce()
+            ops.pop()
+            open_parens -= 1
+            node = operands.pop()
+        elif open_parens:
+            raise FormulaSyntaxError("expected ')'", _column(text, k))
+        else:
+            raise FormulaSyntaxError(f"unexpected {tok!r}", _column(text, k))
+        # An operand is complete: apply the negations waiting for it.
+        while ops and ops[-1] == "!":
+            ops.pop()
+            node = Not(node)
+        operands.append(node)
+        want_operand = False
+    end = len(text) + 1
+    if want_operand:
+        raise FormulaSyntaxError("expected an atom, '!', or '('", end)
+    if open_parens:
+        raise FormulaSyntaxError("expected ')'", end)
+    while ops:
+        reduce()
+    return ParsedFormula(text, operands[0], table)

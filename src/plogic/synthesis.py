@@ -19,7 +19,7 @@ it variable-by-variable and substitutes the opaque subtrees back in.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import NotDerivableError, NotTautologyError, TooManyAtomsError
 from .formulas import (
@@ -29,12 +29,15 @@ from .formulas import (
     Implies,
     Not,
     Sentence,
+    Valuation,
+    _fold,
     as_implication,
     atom_ids,
+    evaluate,
+    format_sentence,
     is_tautology,
     truth_table,
 )
-from .parsing import format_sentence
 from .proofs import Axiom, Deduction, Hypothesis, ModusPonens, instantiate, is_axiom_instance
 
 #: Operation contract: refuse goals with more distinct atoms than this.
@@ -57,8 +60,11 @@ def opaque_skeleton(s: Sentence) -> tuple[Sentence, dict[int, Sentence]]:
     var_of: dict[Sentence, AtomRef] = {}
     subtree_of: dict[int, Sentence] = {}
 
-    def fresh(node: Sentence) -> AtomRef:
-        ref = var_of.get(node)
+    def leaf(node: Sentence) -> AtomRef | None:
+        t = type(node)
+        if t is Not or (t is And and type(node.right) is Not):
+            return None
+        ref = var_of.get(node)  # the fold meets units left to right
         if ref is None:
             vid = len(var_of)
             ref = AtomRef(Atom(vid, f"_v{vid}"))
@@ -66,25 +72,7 @@ def opaque_skeleton(s: Sentence) -> tuple[Sentence, dict[int, Sentence]]:
             subtree_of[vid] = node
         return ref
 
-    memo: dict[Sentence, Sentence] = {}
-
-    def rec(node: Sentence) -> Sentence:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        t = type(node)
-        if t is AtomRef:
-            res: Sentence = fresh(node)
-        elif t is Not:
-            res = Not(rec(node.child))
-        elif type(node.right) is Not:
-            res = And(rec(node.left), rec(node.right))
-        else:
-            res = fresh(node)
-        memo[node] = res
-        return res
-
-    return rec(s), subtree_of
+    return _fold((s,), leaf, Not, And)[0], subtree_of
 
 
 def is_derivable(s: Sentence) -> bool:
@@ -98,23 +86,16 @@ def is_derivable(s: Sentence) -> bool:
 
 def substitute_atoms(s: Sentence, mapping: Mapping[int, Sentence]) -> Sentence:
     """Replace every atom by its image under ``mapping`` (total on s)."""
-    memo: dict[Sentence, Sentence] = {}
+    return _substitute((s,), mapping)[0]
 
-    def rec(node: Sentence) -> Sentence:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        t = type(node)
-        if t is AtomRef:
-            res = mapping[node.atom.id]
-        elif t is Not:
-            res = Not(rec(node.child))
-        else:
-            res = And(rec(node.left), rec(node.right))
-        memo[node] = res
-        return res
 
-    return rec(s)
+def _substitute(roots: Sequence[Sentence], mapping: Mapping[int, Sentence]) -> list[Sentence]:
+    """``substitute_atoms`` on each root, sharing one walk of the DAG."""
+
+    def leaf(node: Sentence) -> Sentence | None:
+        return mapping[node.atom.id] if type(node) is AtomRef else None
+
+    return _fold(roots, leaf, Not, And)
 
 
 class _Builder:
@@ -318,28 +299,21 @@ class _Builder:
             self._atoms_cache[node] = got
         return got
 
-    def _eval(self, node: Sentence, val: Mapping[int, int]) -> int:
-        t = type(node)
-        if t is AtomRef:
-            return val[node.atom.id]
-        if t is Not:
-            return 1 - self._eval(node.child, val)
-        return self._eval(node.left, val) & self._eval(node.right, val)
-
-    def derive(self, node: Sentence, val: Mapping[int, int]) -> int:
+    def derive(self, node: Sentence, val: Valuation) -> int:
         """Line proving ``node`` when it holds under ``val``, else its
         negation, from the literal hypotheses of ``val``."""
-        key = (node, frozenset((i, val[i]) for i in self._atoms(node)))
+        bits = val.bits
+        key = (node, frozenset((i, bits[i]) for i in self._atoms(node)))
         got = self._derive_memo.get(key)
         if got is not None:
             return got
         t = type(node)
         if t is AtomRef:
-            res = self.hyp(node if val[node.atom.id] else Not(node))
+            res = self.hyp(node if bits[node.atom.id] else Not(node))
         elif t is Not:
             c = node.child
             i = self.derive(c, val)
-            if self._eval(c, val):
+            if evaluate(c, val):
                 res = self.mp(self.dni(c), i)  # !!c refutes node = !c
             else:
                 res = i  # the line already proves !c, i.e. node
@@ -347,10 +321,10 @@ class _Builder:
             x = node.left
             assert type(node.right) is Not, "conjunction must be implication-shaped"
             z = node.right.child
-            if not self._eval(x, val):
+            if not evaluate(x, val):
                 ix = self.derive(x, val)  # !x
                 res = self.mp(self.exfalso(x, z), ix)  # x -> z refutes node
-            elif self._eval(z, val):
+            elif evaluate(z, val):
                 iz = self.derive(z, val)  # z
                 res = self.mp(self.axiom("A1", {"A": z, "B": x}), iz)  # x -> z
             else:
@@ -378,13 +352,15 @@ class _Builder:
         a3 = self.axiom("A3", {"A": p, "B": g})
         return self.mp(self.mp(a3, m1), m5)
 
-    def eliminate(self, variables: list[Atom], i: int, val: dict, goal: Sentence) -> int:
+    def eliminate(self, variables: list[Atom], bits: tuple[int, ...], goal: Sentence) -> int:
+        """Derive ``goal`` with the variables after ``bits`` discharged;
+        variable i has id i and is fixed to bits[i]."""
+        i = len(bits)
         if i == len(variables):
-            return self.derive(goal, val)
-        var = variables[i]
-        ref = AtomRef(var)
-        t = self.eliminate(variables, i + 1, {**val, var.id: 1}, goal)
-        f = self.eliminate(variables, i + 1, {**val, var.id: 0}, goal)
+            return self.derive(goal, Valuation(bits))
+        ref = AtomRef(variables[i])
+        t = self.eliminate(variables, bits + (1,), goal)
+        f = self.eliminate(variables, bits + (0,), goal)
         line_pg = self.dt(t, ref)
         line_npg = self.dt(f, Not(ref))
         return self.case_split(ref, goal, line_pg, line_npg)
@@ -409,21 +385,25 @@ class _Builder:
                 stack.append(j.minor)
         order = sorted(keep)
         remap = {old: new for new, old in enumerate(order)}
-        lines = []
+        sents = [self.sents[old] for old in order]
+        justs = []
         for old in order:
-            sent = self.sents[old]
             j = self.justs[old]
             assert j is not _HYP, "working hypothesis survived elimination"
             if type(j) is ModusPonens:
                 j = ModusPonens(remap[j.major], remap[j.minor])
-            if mapping is not None:
-                sent = substitute_atoms(sent, mapping)
-                if type(j) is Axiom and j.bindings is not None:
-                    j = Axiom(j.schema, {k: substitute_atoms(v, mapping)
-                                         for k, v in j.bindings.items()})
-            lines.append((sent, j))
-        assert lines[-1][0] == goal
-        return Deduction((), tuple(lines), goal)
+            justs.append(j)
+        if mapping is not None:
+            # One walk rewrites every line and every binding.
+            axioms = [j for j in justs if type(j) is Axiom and j.bindings is not None]
+            images = iter(_substitute(
+                sents + [v for j in axioms for v in j.bindings.values()], mapping))
+            sents = [next(images) for _ in sents]
+            rebuilt = {id(j): Axiom(j.schema, {k: next(images) for k in j.bindings})
+                       for j in axioms}
+            justs = [rebuilt.get(id(j), j) for j in justs]
+        assert sents[-1] == goal
+        return Deduction((), tuple(zip(sents, justs)), goal)
 
 
 def _falsifying_assignment(skeleton: Sentence,
@@ -481,5 +461,5 @@ def synthesize_proof(s: Sentence) -> Deduction:
 
     builder = _Builder()
     variables = [Atom(i, f"_v{i}") for i in range(k)]
-    root = builder.eliminate(variables, 0, {}, skeleton)
+    root = builder.eliminate(variables, (), skeleton)
     return builder.extract(root, s, mapping=subtree_of)

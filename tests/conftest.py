@@ -1,6 +1,7 @@
 """Shared generators for the test suite: random sentences, random exact
-measures, and exhaustive sentence corpora; and an independent oracle for
-the derivability boundary of the proof kernel."""
+measures, and exhaustive sentence corpora; an independent recursive
+evaluator; and an independent oracle for the derivability boundary of the
+proof kernel."""
 
 from __future__ import annotations
 
@@ -110,6 +111,16 @@ def unit_value(s: Sentence, assignment: Mapping[str, int]) -> int:
     if _is_transparent_and(s):
         return unit_value(s.left, assignment) & unit_value(s.right, assignment)
     return assignment[_unit_name(s)]
+
+
+def reference_value(s: Sentence, bits) -> int:
+    """Truth value of ``s`` where atom i reads ``bits[i]``: a plain
+    recursive evaluator, independent of plogic.formulas' fold."""
+    if type(s) is AtomRef:
+        return bits[s.atom.id]
+    if type(s) is Not:
+        return 1 - reference_value(s.child, bits)
+    return reference_value(s.left, bits) & reference_value(s.right, bits)
 
 
 def falsifying_unit_assignments(s: Sentence) -> list[dict[str, int]]:

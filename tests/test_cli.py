@@ -34,6 +34,11 @@ class TestEvalAndTaut:
         assert report.ok
         assert report.lines == ["tautology: no"]
 
+    def test_tautology_deep_chain(self):
+        report = run(["taut", "!" * 2000 + "A"])
+        assert report.ok
+        assert report.lines == ["tautology: no"]
+
     def test_eval_world(self):
         report = run(["eval", "A & !B -> C", "--world", "110"])
         assert report.ok

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exhaustive_sentences, make_atoms, random_sentence
+from conftest import exhaustive_sentences, make_atoms, random_sentence, reference_value
 from plogic.errors import AtomOutOfRangeError
 from plogic.formulas import (
     And,
+    Atom,
+    AtomRef,
     Implies,
     Not,
     Or,
@@ -24,6 +26,7 @@ from plogic.formulas import (
     semantic_equal,
     truth_table,
 )
+from plogic.synthesis import is_derivable, opaque_skeleton, substitute_atoms
 
 A, B, C = make_atoms("ABC")
 
@@ -152,12 +155,16 @@ class TestTruthTableConventions:
         assert v.minterm_index == 0b101
 
     def test_table_bit_matches_evaluation(self):
+        # truth_table and evaluate share one fold, so both are checked
+        # against the recursive reference evaluator in conftest.
         rng = random.Random(7)
         for _ in range(200):
             s = random_sentence(rng, [A, B, C], 5)
             table = truth_table(s, [0, 1, 2])
             for v in all_valuations(3):
-                assert (table >> v.minterm_index) & 1 == evaluate(s, v)
+                want = reference_value(s, v.bits)
+                assert (table >> v.minterm_index) & 1 == want
+                assert evaluate(s, v) == want
 
     def test_atom_bookkeeping(self):
         s = And(C, Not(A))
@@ -171,3 +178,112 @@ def test_double_negation_invariance(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     s = random_sentence(rng, [A, B, C], 5)
     assert semantic_equal(s, Not(Not(s)))
+
+
+DEPTH = 10**5
+
+
+def _negations(n, base=A):
+    s = base
+    for _ in range(n):
+        s = Not(s)
+    return s
+
+
+@pytest.fixture(scope="module")
+def deep():
+    """A 10^5-deep ! chain over A: false when A is, since the depth is even."""
+    return _negations(DEPTH)
+
+
+class TestDepth:
+    """Every whole-tree walk keeps its own stack: no recursion limit."""
+
+    def test_structural_equality(self, deep):
+        assert deep == _negations(DEPTH)
+        assert deep != _negations(DEPTH - 1)
+        assert deep != _negations(DEPTH, B)
+
+    def test_evaluate_and_truth_table(self, deep):
+        assert evaluate(deep, Valuation((1,))) == 1
+        assert evaluate(deep, Valuation((0,))) == 0
+        assert truth_table(deep, [0]) == 0b10
+
+    def test_tautology_and_semantic_equality(self, deep):
+        assert not is_tautology(deep)
+        assert is_tautology(Or(deep, Not(deep)))
+        assert semantic_equal(deep, A)
+        assert not semantic_equal(deep, Not(A))
+
+    def test_str_and_repr(self, deep):
+        text = "!" * DEPTH + "A"
+        assert str(deep) == text
+        assert repr(deep) == text
+
+    def test_substitute_atoms(self, deep):
+        assert substitute_atoms(deep, {0: Not(B)}) == _negations(DEPTH + 1, B)
+
+    def test_opaque_skeleton_and_derivability(self, deep):
+        skeleton, subtree_of = opaque_skeleton(deep)
+        assert skeleton == _negations(DEPTH, AtomRef(Atom(0, "_v0")))
+        assert subtree_of == {0: A}
+        assert not is_derivable(deep)
+
+
+class TestSharedDag:
+    """x = And(x, x) nested 60 times has 2^60 paths but 62 nodes; every
+    walk must visit nodes, not paths.  No failure report may print such a
+    DAG, as printing one never ends: the assertions do not name one, and
+    errors are reported by message alone."""
+
+    @staticmethod
+    def _doubled(x, times=60):
+        for _ in range(times):
+            x = And(x, x)
+        return x
+
+    @staticmethod
+    def _quietly(f):
+        try:
+            return f()
+        except Exception as err:
+            pytest.fail(f"{type(err).__name__}: {err}", pytrace=False)
+
+    def test_atoms_tables_and_evaluation(self):
+        x = self._doubled(And(A, C))
+        got = self._quietly(lambda: (
+            atom_ids(x), atoms_of(x), truth_table(x, [0, 2]),
+            is_tautology(Or(x, Not(x))), is_tautology(x),
+            evaluate(x, Valuation((1, 0, 1))), evaluate(x, Valuation((1, 1, 0)))))
+        assert got == (frozenset({0, 2}), (A.atom, C.atom), 0b1000, True, False, 1, 0)
+
+    def test_substitute_atoms_keeps_sharing(self):
+        x = self._quietly(lambda: substitute_atoms(self._doubled(And(A, C)), {0: C, 2: Not(A)}))
+        depth = 0
+        while x.left is x.right:
+            x, depth = x.left, depth + 1
+        assert depth == 60
+        assert x == And(C, Not(A))
+
+    def test_opaque_skeleton(self):
+        v0, v1 = (AtomRef(Atom(i, f"_v{i}")) for i in range(2))
+        # An opaque conjunction is one unit, shared or not ...
+        skeleton, subtree_of = self._quietly(
+            lambda: opaque_skeleton(Or(self._doubled(A), Not(A))))
+        unit_is_a = subtree_of[1] is A
+        assert skeleton == Or(v0, Not(v1))
+        assert unit_is_a
+        # ... and a transparent one is walked node by node.
+        y = A
+        for _ in range(60):
+            y = Implies(y, y)
+        skeleton, subtree_of = self._quietly(lambda: opaque_skeleton(y))
+        assert subtree_of == {0: A}
+        depth = 0
+        while as_implication(skeleton) is not None:
+            left, right = as_implication(skeleton)
+            if left is not right:
+                break
+            skeleton, depth = left, depth + 1
+        assert depth == 60
+        assert skeleton == v0

@@ -72,6 +72,20 @@ class TestErrors:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("")
 
+    @pytest.mark.parametrize("text, column, message", [
+        # A bad character anywhere is reported before any grammar error.
+        ("& @", 3, "unexpected character '@'"),
+        ("A )", 3, "unexpected ')'"),
+        ("!(A", 4, "expected ')'"),
+        ("(A B)", 4, "expected ')'"),
+        ("A -> ", 6, "expected an atom, '!', or '('"),
+    ])
+    def test_which_error_is_reported(self, text, column, message):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert err.value.column == column
+        assert str(err.value) == f"{message} (column {column})"
+
 
 class TestFormatter:
     def test_sugar_display(self):
@@ -101,3 +115,28 @@ def _remap(tree):
     if type(tree) is Not:
         return Not(_remap(tree.child))
     return And(_remap(tree.left), _remap(tree.right))
+
+
+DEPTH = 10**5
+
+
+class TestDepth:
+    """Parsing and formatting keep their own stacks: no recursion limit."""
+
+    def test_negation_chain_round_trip(self):
+        tree = A
+        for _ in range(DEPTH):
+            tree = Not(tree)
+        text = format_sentence(tree)
+        assert text == "!" * DEPTH + "A"
+        assert parse_formula(text).ast == tree
+
+    def test_nested_parentheses(self):
+        assert parse_formula("(" * DEPTH + "A" + ")" * DEPTH).ast == A
+        parsed = parse_formula("(" * DEPTH + "A -> !(B)" + ")" * DEPTH).ast
+        assert parsed == Implies(A, Not(B))
+
+    def test_unclosed_deep_parenthesis(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula("(" * DEPTH + "A" + ")" * (DEPTH - 1))
+        assert err.value.column == 2 * DEPTH + 1

@@ -206,6 +206,11 @@ class TestExactProbabilities:
                         continue
                     assert range_prob(r, a, b, p) == b_eval(bf, t_range(ts, r, a, b))
 
+    def test_full_window_is_certain_at_depth(self):
+        # t_range folds its 4096 series into one left-deep disjunction.
+        ts = TestSequence.of(12, HALF)
+        assert b_eval(product_bfunction(ts), t_range(ts, 12, 0, 12)) == 1
+
     def test_window_prob_sums_binomial_terms(self):
         assert range_prob(10, 3, 5, Fraction(1, 5)) == sum(
             point_prob(10, k, Fraction(1, 5)) for k in (3, 4, 5))
