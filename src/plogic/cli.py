@@ -198,6 +198,10 @@ def run(argv: list[str]) -> CommandReport:
         return CommandReport("error", [f"error: {exc}"])
     except OSError as exc:
         return CommandReport("error", [f"error: {exc}"])
+    except (RecursionError, MemoryError) as exc:
+        # Last resort for inputs beyond what a recursive step can hold.
+        return CommandReport("error", [
+            f"error: input too large or too deeply nested ({type(exc).__name__})"])
 
 
 def _dispatch(args) -> CommandReport:

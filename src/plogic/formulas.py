@@ -338,15 +338,14 @@ def evaluate(s: Sentence, v: Valuation) -> int:
 def _atom_mask(position: int, m: int) -> int:
     """Bitmask over the 2^m minterm indices where the atom at ``position``
     (0 = most significant) is true."""
-    shift = m - 1 - position
-    half = 1 << shift
-    unit = ((1 << half) - 1) << half  # one low period: zeros then ones
-    period = half << 1
+    half = 1 << (m - 1 - position)
+    mask = ((1 << half) - 1) << half  # one period: zeros then ones
+    width = half << 1
     size = 1 << m
-    repeats = size // period
-    # Replicate the period pattern via the base-2^period repunit.
-    repunit = ((1 << (period * repeats)) - 1) // ((1 << period) - 1)
-    return unit * repunit
+    while width < size:  # double the pattern until it covers every minterm
+        mask |= mask << width
+        width <<= 1
+    return mask
 
 
 def truth_table(s: Sentence, ids: Sequence[int]) -> int:

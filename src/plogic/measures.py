@@ -4,13 +4,23 @@ basic set.
 A valuation is stored as a measure on the 2^n minterms; the value of any
 sentence is the mass of its satisfying minterms, which gives additivity
 over every conjunction split by construction.
+
+A measure is held as nonnegative integer weights over one positive
+denominator: minterm j has mass ``weights[j] / denom``.  The weights sum
+to ``denom`` and have no common factor, so the form is canonical and
+equal measures compare and hash equal.  Each kernel is one pass over
+C-level iterators: a truth table is read out once as one byte per
+minterm, and sums, masks and rescaling run on plain integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import attrgetter, floordiv, mul
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateMintermError,
@@ -21,91 +31,158 @@ from .errors import (
 )
 from .formulas import (
     MAX_ATOMS,
-    And,
     Sentence,
     TooManyAtomsError,
     Valuation,
     truth_table,
 )
 
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
+def _size(n: int) -> int:
+    """Number of minterms over n atoms, once n is within the atom cap."""
+    if n > MAX_ATOMS:
+        raise TooManyAtomsError(f"{n} atoms exceed the cap of {MAX_ATOMS}")
+    return 1 << n
+
+
+def _over_lcm(masses: Sequence) -> tuple[list[int], int]:
+    """Exact masses as numerators over their least common denominator.
+
+    Reduced fractions over their lcm share no common factor, so weights
+    that also sum to the denominator are already canonical."""
+    try:
+        nums = list(map(_NUMERATOR, masses))
+        dens = list(map(_DENOMINATOR, masses))
+    except AttributeError:
+        raise TypeError("masses must be exact rationals (int or Fraction)") from None
+    distinct = set(dens)
+    denom = lcm(*distinct)
+    scale = {d: denom // d for d in distinct}
+    return list(map(mul, nums, map(scale.__getitem__, dens))), denom
+
+
+def _checked(weights: list[int], denom: int) -> tuple[int, ...]:
+    if min(weights) < 0:
+        raise NegativeMassError("minterm masses must be nonnegative")
+    total = sum(weights)
+    if total != denom:
+        raise SumNotOneError(f"masses sum to {Fraction(total, denom)}, not 1")
+    return tuple(weights)
+
+
+@dataclass(frozen=True, init=False)
 class BFunction:
     """Probability measure on minterms; index = valuation bits read as a
-    bitstring with atom 0 most significant."""
+    bitstring with atom 0 most significant.  Minterm j has mass
+    ``weights[j] / denom``."""
 
     n: int
-    mass: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    denom: int
 
-    def __post_init__(self):
-        if self.n > MAX_ATOMS:
-            raise TooManyAtomsError(f"{self.n} atoms exceed the cap of {MAX_ATOMS}")
-        if len(self.mass) != (1 << self.n):
-            raise ValueError(
-                f"need {1 << self.n} masses for {self.n} atoms, got {len(self.mass)}")
-        if any(m < 0 for m in self.mass):
-            raise NegativeMassError("minterm masses must be nonnegative")
-        if sum(self.mass) != 1:
-            raise SumNotOneError(f"masses sum to {sum(self.mass)}, not 1")
+    def __init__(self, n: int, mass: Sequence[Fraction]):
+        size = _size(n)
+        if len(mass) != size:
+            raise ValueError(f"need {size} masses for {n} atoms, got {len(mass)}")
+        weights, denom = _over_lcm(mass)
+        self._set(n, _checked(weights, denom), denom)
+
+    def _set(self, n: int, weights: tuple[int, ...], denom: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "denom", denom)
+
+    @classmethod
+    def _of(cls, n: int, weights: tuple[int, ...], denom: int) -> "BFunction":
+        """Trusted constructor: the weights are nonnegative, sum to
+        ``denom`` and have no common factor."""
+        bf = object.__new__(cls)
+        bf._set(n, weights, denom)
+        return bf
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        """Per-minterm masses as fractions; built afresh on each read, in
+        O(2^n)."""
+        return tuple(map(Fraction, self.weights, repeat(self.denom)))
 
     @classmethod
     def uniform(cls, n: int) -> "BFunction":
-        size = 1 << n
-        return cls(n, (Fraction(1, size),) * size)
+        size = _size(n)
+        return cls._of(n, (1,) * size, size)
 
     @classmethod
     def from_weights(cls, n: int, weights: Mapping[int, Fraction]) -> "BFunction":
         """Masses for the listed minterm indices; the rest are zero."""
-        mass = [_ZERO] * (1 << n)
+        size = 1 << n
+        masses = {}
         for idx, w in weights.items():
-            if not 0 <= idx < (1 << n):
+            if not 0 <= idx < size:
                 raise ValueError(f"minterm index {idx} out of range for n={n}")
-            mass[idx] = Fraction(w)
-        return cls(n, tuple(mass))
+            masses[idx] = Fraction(w)
+        return _spread(n, masses, list(masses.values()))
+
+
+def _spread(n: int, idxs: Iterable[int], masses: Sequence[Fraction]) -> BFunction:
+    """Measure with ``masses`` at minterms ``idxs`` and zero elsewhere."""
+    weights = [0] * _size(n)
+    nums, denom = _over_lcm(masses)
+    for idx, w in zip(idxs, nums):
+        weights[idx] = w
+    return BFunction._of(n, _checked(weights, denom), denom)
 
 
 def from_valuation(v: Valuation) -> BFunction:
     """Point mass on the valuation's minterm; sentence values then agree
     with two-valued evaluation everywhere."""
-    return BFunction.from_weights(v.n, {v.minterm_index: _ONE})
+    weights = [0] * _size(v.n)
+    weights[v.minterm_index] = 1
+    return BFunction._of(v.n, tuple(weights), 1)
+
+
+def _selector(bf: BFunction, table: int) -> bytes:
+    """A truth table over the measure's atoms, read out once: byte j is 1
+    if bit j of ``table`` is set, else 0."""
+    text = format(table, f"0{len(bf.weights)}b")  # minterm 0 comes last
+    return text.encode().translate(_BIT_BYTES)[::-1]
+
+
+def _weight(bf: BFunction, table: int) -> int:
+    """Summed weight of the minterms set in ``table``."""
+    return sum(compress(bf.weights, _selector(bf, table)))
 
 
 def b_eval(bf: BFunction, s: Sentence) -> Fraction:
     """Mass of the satisfying minterms of ``s``; exact."""
-    table = truth_table(s, range(bf.n))
-    total = _ZERO
-    idx = 0
-    while table:
-        if table & 1:
-            total += bf.mass[idx]
-        table >>= 1
-        idx += 1
-    return total
+    return Fraction(_weight(bf, truth_table(s, range(bf.n))), bf.denom)
 
 
 def conditional_prob(bf: BFunction, b: Sentence, c: Sentence) -> Fraction:
     """Value of b given c: mass of (c and b) over mass of c."""
-    denom = b_eval(bf, c)
+    tc = truth_table(c, range(bf.n))
+    denom = _weight(bf, tc)
     if denom == 0:
         raise ZeroConditionError("conditioning sentence has probability zero")
-    return b_eval(bf, And(c, b)) / denom
+    return Fraction(_weight(bf, tc & truth_table(b, range(bf.n))), denom)
 
 
 def condition(bf: BFunction, c: Sentence) -> BFunction:
     """Measure restricted to the minterms satisfying c, renormalized; its
     sentence values equal the conditional probabilities given c."""
-    denom = b_eval(bf, c)
+    selected = _selector(bf, truth_table(c, range(bf.n)))
+    weights = tuple(map(mul, bf.weights, selected))
+    denom = sum(weights)
     if denom == 0:
         raise ZeroConditionError("conditioning sentence has probability zero")
-    table = truth_table(c, range(bf.n))
-    mass = tuple(
-        (m / denom if (table >> idx) & 1 else _ZERO)
-        for idx, m in enumerate(bf.mass)
-    )
-    return BFunction(bf.n, mass)
+    common = gcd(*weights)
+    if common > 1:
+        weights = tuple(map(floordiv, weights, repeat(common)))
+        denom //= common
+    return BFunction._of(bf.n, weights, denom)
 
 
 def is_p_function(bf: BFunction, actual: Valuation) -> bool:
@@ -118,7 +195,7 @@ def is_p_function(bf: BFunction, actual: Valuation) -> bool:
     """
     if actual.n != bf.n:
         raise ValueError(f"valuation width {actual.n} does not match n={bf.n}")
-    return bf.mass[actual.minterm_index] > 0
+    return bf.weights[actual.minterm_index] > 0
 
 
 @dataclass(frozen=True)
@@ -132,10 +209,12 @@ class PairRelation:
 def classify_pair(bf: BFunction, a: Sentence, b: Sentence) -> PairRelation:
     """Inconsistent: the conjunction has measure zero.  Independent: the
     conjunction's measure is the product of the measures."""
-    pa = b_eval(bf, a)
-    pb = b_eval(bf, b)
-    pab = b_eval(bf, And(a, b))
-    return PairRelation(inconsistent=(pab == 0), independent=(pab == pa * pb))
+    ta = truth_table(a, range(bf.n))
+    tb = truth_table(b, range(bf.n))
+    pa, pb, pab = _weight(bf, ta), _weight(bf, tb), _weight(bf, ta & tb)
+    # Over one denominator d: pab/d == (pa/d)(pb/d) iff pab*d == pa*pb.
+    return PairRelation(inconsistent=(pab == 0),
+                        independent=(pab * bf.denom == pa * pb))
 
 
 # --- Distribution file format -------------------------------------------------
@@ -152,22 +231,22 @@ def load_distribution(text: str | Iterable[str]) -> BFunction:
     else:
         lines = list(text)
     n = None
-    weights: dict[int, Fraction] = {}
+    seen = bytearray()  # one byte per minterm, set once it has a line
+    idxs: list[int] = []
+    masses: list[Fraction] = []
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = stripped.split()
         if len(parts) != 2:
             raise WidthMismatchError(
-                f"line {lineno}: expected '<bits> <p/q>', got {stripped!r}")
+                f"line {lineno}: expected '<bits> <p/q>', got {raw.strip()!r}")
         bits, value = parts
-        if not bits or any(c not in "01" for c in bits):
+        if bits.strip("01"):  # nonempty iff some character is not 0/1
             raise WidthMismatchError(f"line {lineno}: bad bitstring {bits!r}")
         if n is None:
             n = len(bits)
-            if n > MAX_ATOMS:
-                raise TooManyAtomsError(f"{n} atoms exceed the cap of {MAX_ATOMS}")
+            seen = bytearray(_size(n))
         elif len(bits) != n:
             raise WidthMismatchError(
                 f"line {lineno}: bitstring width {len(bits)} != {n}")
@@ -176,24 +255,25 @@ def load_distribution(text: str | Iterable[str]) -> BFunction:
         except (ValueError, ZeroDivisionError):
             raise WidthMismatchError(
                 f"line {lineno}: bad rational {value!r}") from None
-        if mass < 0:
+        if mass.numerator < 0:
             raise NegativeMassError(f"line {lineno}: negative mass {value}")
         idx = int(bits, 2)
-        if idx in weights:
+        if seen[idx]:
             raise DuplicateMintermError(f"line {lineno}: duplicate minterm {bits}")
-        weights[idx] = mass
+        seen[idx] = 1
+        idxs.append(idx)
+        masses.append(mass)
     if n is None:
         raise WidthMismatchError("distribution file has no minterm lines")
-    if sum(weights.values()) != 1:
-        raise SumNotOneError(
-            f"masses sum to {sum(weights.values())}, not 1")
-    return BFunction.from_weights(n, weights)
+    return _spread(n, idxs, masses)
 
 
 def dump_distribution(bf: BFunction) -> str:
     """Render the nonzero minterms in the distribution file format."""
+    n, weights, denom = bf.n, bf.weights, bf.denom
     out = []
-    for idx, m in enumerate(bf.mass):
-        if m != 0:
-            out.append(f"{idx:0{bf.n}b} {m.numerator}/{m.denominator}")
+    for idx in compress(range(len(weights)), weights):
+        w = weights[idx]
+        common = gcd(w, denom)
+        out.append(f"{idx:0{n}b} {w // common}/{denom // common}")
     return "\n".join(out) + "\n"

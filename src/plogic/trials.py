@@ -14,10 +14,12 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
 from .errors import EmptyRangeError
 from .formulas import And, Atom, AtomRef, Not, Or, Sentence
-from .measures import BFunction
+from .measures import BFunction, _size
 
 _RationalLike = Fraction | int
 
@@ -124,17 +126,21 @@ def t_range(ts: TestSequence, r: int, a: _RationalLike, b: _RationalLike) -> Sen
 
 
 def product_bfunction(ts: TestSequence) -> BFunction:
-    """Product measure: each test succeeds independently with mass p."""
+    """Product measure: each test succeeds independently with mass p.
+
+    Minterm j has weight num^k (den-num)^(r-k) over den^r, where k counts
+    the successes in j.  Every test shares p, so prefixing one more test
+    doubles the weight list: failures scale it by den-num, successes by
+    num (a Kronecker product)."""
     r = ts.r
-    p = ts.p
-    q = 1 - p
-    mass = []
-    for idx in range(1 << r):
-        m = Fraction(1)
-        for pos in range(r):
-            m *= p if (idx >> (r - 1 - pos)) & 1 else q
-        mass.append(m)
-    return BFunction(r, tuple(mass))
+    num, den = ts.p.numerator, ts.p.denominator
+    comp = den - num
+    _size(r)  # the atom cap, before the list doubles r times
+    weights = [1]
+    for _ in range(r):
+        weights = [*map(mul, weights, repeat(comp)), *map(mul, weights, repeat(num))]
+    # gcd(num, den - num) = 1, so the weights have no common factor.
+    return BFunction._of(r, tuple(weights), den**r)
 
 
 def point_prob(r: int, k: int, p: _RationalLike) -> Fraction:

@@ -1,7 +1,7 @@
 """Shared generators for the test suite: random sentences, random exact
 measures, and exhaustive sentence corpora; an independent recursive
-evaluator; and an independent oracle for the derivability boundary of the
-proof kernel."""
+evaluator and per-minterm mass sum; and an independent oracle for the
+derivability boundary of the proof kernel."""
 
 from __future__ import annotations
 
@@ -121,6 +121,19 @@ def reference_value(s: Sentence, bits) -> int:
     if type(s) is Not:
         return 1 - reference_value(s.child, bits)
     return reference_value(s.left, bits) & reference_value(s.right, bits)
+
+
+def reference_mass(n: int, mass, s: Sentence) -> Fraction:
+    """Mass of the minterms that satisfy ``s``, where minterm j (atom 0
+    its most significant bit) has mass ``mass[j]``: a plain per-minterm
+    Fraction sum over ``reference_value``, independent of plogic.measures'
+    integer kernels."""
+    total = Fraction(0)
+    for idx, m in enumerate(mass):
+        bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
+        if reference_value(s, bits):
+            total += m
+    return total
 
 
 def falsifying_unit_assignments(s: Sentence) -> list[dict[str, int]]:

@@ -228,3 +228,13 @@ class TestExitCodes:
     def test_unknown_command_is_nonzero(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_too_deep_for_the_synthesizer_is_one_error_line(self, capsys):
+        # A derivable one-atom goal whose proof search recurses once per `!`.
+        assert main(["prove", "!" * 3000 + "A | !A"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "RecursionError" in lines[0]
+        assert "Traceback" not in captured.out + captured.err

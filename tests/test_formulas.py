@@ -16,6 +16,7 @@ from plogic.formulas import (
     Not,
     Or,
     Valuation,
+    _atom_mask,
     all_valuations,
     as_implication,
     atom_ids,
@@ -165,6 +166,13 @@ class TestTruthTableConventions:
                 want = reference_value(s, v.bits)
                 assert (table >> v.minterm_index) & 1 == want
                 assert evaluate(s, v) == want
+
+    def test_atom_masks_match_a_per_index_oracle(self):
+        for m in range(1, 13):
+            for position in range(m):
+                shift = m - 1 - position
+                want = sum(1 << j for j in range(1 << m) if (j >> shift) & 1)
+                assert _atom_mask(position, m) == want, (position, m)
 
     def test_atom_bookkeeping(self):
         s = And(C, Not(A))

@@ -1,9 +1,12 @@
 """Exact-rational sentence valuations: laws, conditioning, file format."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     exhaustive_sentences,
@@ -11,15 +14,28 @@ from conftest import (
     random_bfunction,
     random_sentence,
     random_sparse_bfunction,
+    reference_mass,
+    reference_value,
 )
 from plogic.errors import (
     DuplicateMintermError,
     NegativeMassError,
     SumNotOneError,
+    TooManyAtomsError,
     WidthMismatchError,
     ZeroConditionError,
 )
-from plogic.formulas import And, Implies, Not, Or, Valuation, all_valuations, evaluate, is_tautology
+from plogic.formulas import (
+    MAX_ATOMS,
+    And,
+    Implies,
+    Not,
+    Or,
+    Valuation,
+    all_valuations,
+    evaluate,
+    is_tautology,
+)
 from plogic.measures import (
     BFunction,
     b_eval,
@@ -320,6 +336,57 @@ class TestDistributionFiles:
             assert load_distribution(dump_distribution(bf)) == bf
 
 
+class TestDistributionErrorContract:
+    """Each malformed file raises one exact class with one exact message;
+    blank lines count toward line numbers."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("1x 1/2\n", WidthMismatchError, "line 1: bad bitstring '1x'"),
+        ("11 1/2\n\n0a 1/2\n", WidthMismatchError, "line 3: bad bitstring '0a'"),
+        ("11 1/2\n0 1/2\n", WidthMismatchError, "line 2: bitstring width 1 != 2"),
+        ("11 1/2 x\n", WidthMismatchError,
+         "line 1: expected '<bits> <p/q>', got '11 1/2 x'"),
+        ("1 1/2\n  0  \n", WidthMismatchError,
+         "line 2: expected '<bits> <p/q>', got '0'"),
+        ("11 half\n", WidthMismatchError, "line 1: bad rational 'half'"),
+        ("0 1/2\n1 1/0\n", WidthMismatchError, "line 2: bad rational '1/0'"),
+        ("1 3/2\n0 -1/2\n", NegativeMassError, "line 2: negative mass -1/2"),
+        ("11 1/2\n11 1/2\n", DuplicateMintermError, "line 2: duplicate minterm 11"),
+        ("", WidthMismatchError, "distribution file has no minterm lines"),
+        ("\n   \n", WidthMismatchError, "distribution file has no minterm lines"),
+        ("0" * 21 + " 1\n", TooManyAtomsError, "21 atoms exceed the cap of 20"),
+        ("1 1/2\n0 1/4\n", SumNotOneError, "masses sum to 3/4, not 1"),
+        ("1 1\n0 1\n", SumNotOneError, "masses sum to 2, not 1"),
+        ("1 0\n", SumNotOneError, "masses sum to 0, not 1"),
+    ])
+    def test_error_class_and_message(self, text, error, message):
+        with pytest.raises(error) as err:
+            load_distribution(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_first_fault_in_line_order_wins(self):
+        with pytest.raises(DuplicateMintermError, match="^line 2: "):
+            load_distribution("1 1/2\n1 1/2\n0 -1\n")
+        with pytest.raises(NegativeMassError, match="^line 1: "):
+            load_distribution("1 -1\n1 2\n")
+
+    @pytest.mark.parametrize("text", [
+        "1 1/2\n0 1/2\n",
+        "1 0.5\n0 1/2\n",
+        "1 1\n",
+        "1 1\n0 0\n",
+    ])
+    def test_accepted_spellings(self, text):
+        bf = load_distribution(text)
+        assert sum(bf.mass) == 1
+        assert bf.mass[1] == Fraction(text.split()[1])
+
+    def test_lines_from_an_iterable(self):
+        bf = load_distribution(iter(["10 1/4", "01 3/4"]))
+        assert bf.mass == (0, Fraction(3, 4), Fraction(1, 4), 0)
+
+
 class TestConstructionAndDomains:
     def test_masses_must_be_nonnegative(self):
         with pytest.raises(NegativeMassError):
@@ -342,3 +409,157 @@ class TestConstructionAndDomains:
     def test_p_function_width_check(self):
         with pytest.raises(ValueError):
             is_p_function(BFunction.uniform(2), Valuation((1,)))
+
+
+class TestIntegerWeights:
+    """The stored form: integer weights over one denominator, canonical."""
+
+    def test_weights_over_the_least_common_denominator(self):
+        bf = BFunction(2, (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 0))
+        assert (bf.weights, bf.denom) == ((1, 2, 3, 0), 6)
+        assert bf.mass == (Fraction(1, 6), Fraction(1, 3), HALF, 0)
+
+    def test_equal_measures_compare_and_hash_equal(self):
+        built = [BFunction(2, (0, 0, HALF, HALF)),
+                 BFunction.from_weights(2, {2: HALF, 3: "1/2"}),
+                 load_distribution("10 1/2\n11 1/2\n"),
+                 condition(BFunction.uniform(2), A),
+                 condition(BFunction(2, (Fraction(1, 8), Fraction(3, 8),
+                                         Fraction(1, 4), Fraction(1, 4))), A)]
+        for bf in built:
+            assert bf == built[0]
+            assert hash(bf) == hash(built[0])
+            assert (bf.weights, bf.denom) == ((0, 0, 1, 1), 2)
+
+    def test_immutable(self):
+        bf = BFunction.uniform(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bf.denom = 3
+        with pytest.raises(AttributeError):
+            bf.mass = (HALF, HALF)
+
+    def test_inexact_masses_are_rejected(self):
+        with pytest.raises(TypeError):
+            BFunction(1, (0.5, 0.5))
+
+    def test_width_cap_precedes_building(self):
+        with pytest.raises(TooManyAtomsError):
+            BFunction.uniform(MAX_ATOMS + 1)
+        with pytest.raises(TooManyAtomsError):
+            BFunction.from_weights(MAX_ATOMS + 1, {0: 1})
+        with pytest.raises(TooManyAtomsError):
+            from_valuation(Valuation((0,) * (MAX_ATOMS + 1)))
+
+
+class TestAtTheAtomCap:
+    """Exact values at MAX_ATOMS = 20 on the uniform measure."""
+
+    N = MAX_ATOMS
+    SIZE = 1 << MAX_ATOMS
+    P = make_atoms("ABCDEFGHIJKLMNOPQRST")
+
+    def _all(self, combine):
+        node = self.P[0]
+        for atom in self.P[1:]:
+            node = combine(node, atom)
+        return node
+
+    def test_b_eval_counts(self):
+        bf = BFunction.uniform(self.N)
+        p = self.P
+        cases = [(p[0], self.SIZE // 2),
+                 (And(p[0], Not(p[19])), self.SIZE // 4),
+                 (Or(p[3], p[17]), 3 * self.SIZE // 4),
+                 (self._all(And), 1),
+                 (self._all(Or), self.SIZE - 1),
+                 (And(p[5], Not(p[5])), 0)]
+        for s, count in cases:
+            assert b_eval(bf, s) == Fraction(count, self.SIZE)
+
+    def test_condition_counts(self):
+        bf = BFunction.uniform(self.N)
+        p = self.P
+        anything = condition(bf, self._all(Or))
+        assert anything.denom == self.SIZE - 1
+        assert anything.weights[0] == 0
+        assert sum(anything.weights) == self.SIZE - 1
+        assert b_eval(anything, p[0]) == Fraction(self.SIZE // 2, self.SIZE - 1)
+        both = condition(bf, And(p[0], p[1]))
+        assert both.denom == self.SIZE // 4
+        assert b_eval(both, p[2]) == HALF
+        assert b_eval(both, p[0]) == 1
+        assert conditional_prob(bf, p[2], And(p[0], p[1])) == HALF
+
+
+# -- property check against a per-minterm Fraction oracle -----------------------
+
+WIDE = make_atoms("ABCDEF")
+
+
+def _bits(n, idx):
+    return [(idx >> (n - 1 - i)) & 1 for i in range(n)]
+
+
+def _sentences(n):
+    atoms = st.sampled_from(WIDE[:n])
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.builds(Not, inner),
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+            st.builds(Implies, inner, inner)),
+        max_leaves=10)
+
+
+SENTENCES = {n: _sentences(n) for n in range(1, 7)}
+
+
+@st.composite
+def _measures(draw):
+    """Width n <= 6 and exact masses with unlike denominators; dense
+    (every minterm positive) or sparse (most minterms zero)."""
+    n = draw(st.integers(1, 6))
+    size = 1 << n
+    if draw(st.booleans()):
+        nums = draw(st.lists(st.integers(1, 40), min_size=size, max_size=size))
+    else:
+        nums = draw(st.lists(st.sampled_from((0, 0, 0, 1, 7, 1000)),
+                             min_size=size, max_size=size))
+        if not any(nums):
+            nums[draw(st.integers(0, size - 1))] = 1
+    dens = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    raw = [Fraction(a, b) for a, b in zip(nums, dens)]
+    total = sum(raw)
+    return n, tuple(m / total for m in raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_match_the_fraction_oracle(data):
+    n, mass = data.draw(_measures())
+    sentences = SENTENCES[n]
+    a, b, c = data.draw(sentences), data.draw(sentences), data.draw(sentences)
+    bf = BFunction(n, mass)
+    assert bf.mass == mass
+
+    def ref(s):
+        return reference_mass(n, mass, s)
+
+    assert b_eval(bf, a) == ref(a)
+    pab = ref(And(a, b))
+    relation = classify_pair(bf, a, b)
+    assert relation.inconsistent == (pab == 0)
+    assert relation.independent == (pab == ref(a) * ref(b))
+    pc = ref(c)
+    if pc == 0:
+        with pytest.raises(ZeroConditionError):
+            conditional_prob(bf, b, c)
+        with pytest.raises(ZeroConditionError):
+            condition(bf, c)
+    else:
+        assert conditional_prob(bf, b, c) == ref(And(c, b)) / pc
+        want = tuple(m / pc if reference_value(c, _bits(n, idx)) else 0
+                     for idx, m in enumerate(mass))
+        assert condition(bf, c).mass == want
+    assert load_distribution(dump_distribution(bf)) == bf

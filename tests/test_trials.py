@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from plogic.errors import EmptyRangeError
-from plogic.formulas import And, Not, Or, all_valuations, evaluate
+from plogic.errors import EmptyRangeError, TooManyAtomsError
+from plogic.formulas import MAX_ATOMS, And, Not, Or, all_valuations, evaluate
 from plogic.measures import b_eval
 from plogic.trials import (
     RangeSpec,
@@ -148,6 +148,20 @@ class TestProductMeasure:
     def test_fair_tests_are_uniform(self):
         bf = product_bfunction(TestSequence.of(3, HALF))
         assert all(m == Fraction(1, 8) for m in bf.mass)
+
+    def test_sixteen_tests_match_point_probabilities(self):
+        p = Fraction(2, 7)
+        bf = product_bfunction(TestSequence.of(16, p))
+        mass = bf.mass
+        assert sum(mass) == 1
+        by_count = [Fraction(0)] * 17
+        for idx, m in enumerate(mass):
+            by_count[bin(idx).count("1")] += m
+        assert by_count == [point_prob(16, k, p) for k in range(17)]
+
+    def test_width_cap_precedes_building(self):
+        with pytest.raises(TooManyAtomsError):
+            product_bfunction(TestSequence.of(MAX_ATOMS + 1, HALF))
 
     def test_marginals_equal_success_probability(self):
         ts = TestSequence.of(4, Fraction(2, 7))
