@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import MixedMemberError, NotCompleteError, UnsatisfiableMemberError
+from .errors import (
+    InvalidArgumentError,
+    MixedMemberError,
+    NotCompleteError,
+    UnsatisfiableMemberError,
+)
 from .formulas import Or, Sentence, atom_ids, truth_table
 
 
@@ -33,7 +38,7 @@ def check_complete(members: Sequence[Sentence]) -> bool:
     """True iff pairwise conjunctions are unsatisfiable and the full
     disjunction is a tautology, both by exhaustive valuation."""
     if not members:
-        raise ValueError("complete set must be nonempty")
+        raise InvalidArgumentError("complete set must be nonempty")
     ids = _shared_ids(members)
     size = 1 << len(ids)
     full = (1 << size) - 1

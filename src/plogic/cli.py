@@ -259,6 +259,8 @@ def _dispatch(args) -> CommandReport:
     if cmd == "bernoulli":
         r = args.r
         ks = range(r + 1) if args.k is None else [args.k]
+        if r < 1:
+            return CommandReport("error", ["error: r must be at least 1"])
         if args.k is not None and not 0 <= args.k <= r:
             return CommandReport("error", [f"error: k outside 0..{r}"])
         lines = []
@@ -272,7 +274,7 @@ def _dispatch(args) -> CommandReport:
         exact = trials.range_prob(
             args.r, args.r * (args.p - args.eps), args.r * (args.p + args.eps),
             args.p)
-        if args.trials:
+        if args.trials is not None:
             ts = trials.TestSequence.of(args.r, args.p)
             freqs = trials.simulate_frequencies(ts, args.trials, args.seed)
             hits = sum(1 for f in freqs if abs(f - args.p) <= args.eps)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .errors import InvalidArgumentError
+
 DEFAULT_HORIZON = 10_000
 
 
@@ -65,7 +67,7 @@ class IndexSet:
 def _sorted_unique(values) -> tuple[int, ...]:
     out = tuple(sorted(set(values)))
     if out and out[0] < 1:
-        raise ValueError("index sets live on the positive naturals")
+        raise InvalidArgumentError("index sets live on the positive naturals")
     return out
 
 
@@ -107,7 +109,7 @@ class EventuallyPeriodicSet(IndexSet):
 
     def __post_init__(self):
         if not self.period:
-            raise ValueError("period must be nonempty")
+            raise InvalidArgumentError("period must be nonempty")
         object.__setattr__(self, "preamble", tuple(bool(b) for b in self.preamble))
         object.__setattr__(self, "period", tuple(bool(b) for b in self.period))
 
@@ -157,7 +159,7 @@ def evens() -> EventuallyPeriodicSet:
 def part_frequency(a: IndexSet, n: int) -> Fraction:
     """Members of a within {1..n}, over n; exact."""
     if n < 1:
-        raise ValueError("part-set size must be at least 1")
+        raise InvalidArgumentError("part-set size must be at least 1")
     return Fraction(a.count_upto(n), n)
 
 

@@ -5,6 +5,10 @@ class PlogicError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgumentError(PlogicError, ValueError):
+    """An argument lies outside the domain the function accepts."""
+
+
 class AtomOutOfRangeError(PlogicError):
     """A sentence references an atom outside the basic set in use."""
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import AtomOutOfRangeError, TooManyAtomsError
+from .errors import AtomOutOfRangeError, InvalidArgumentError, TooManyAtomsError
 
 #: Hard cap on basic-set size; keeps exhaustive valuation sweeps tractable.
 MAX_ATOMS = 20
@@ -260,19 +260,19 @@ class Valuation:
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("valuation bits must be 0 or 1")
+            raise InvalidArgumentError("valuation bits must be 0 or 1")
 
     @classmethod
     def from_string(cls, text: str) -> "Valuation":
         if not text or any(c not in "01" for c in text):
-            raise ValueError(f"bad valuation bitstring: {text!r}")
+            raise InvalidArgumentError(f"bad valuation bitstring: {text!r}")
         return cls(tuple(int(c) for c in text))
 
     @classmethod
     def of_minterm(cls, n: int, index: int) -> "Valuation":
         """Valuation whose minterm index is ``index``; atom 0 is the MSB."""
         if not 0 <= index < (1 << n):
-            raise ValueError(f"minterm index {index} out of range for n={n}")
+            raise InvalidArgumentError(f"minterm index {index} out of range for n={n}")
         return cls(tuple((index >> (n - 1 - i)) & 1 for i in range(n)))
 
     @property
@@ -397,7 +397,7 @@ def basic_set(names: Iterable[str]) -> tuple[Atom, ...]:
     seen = set()
     for i, name in enumerate(names):
         if name in seen:
-            raise ValueError(f"duplicate atom name {name!r}")
+            raise InvalidArgumentError(f"duplicate atom name {name!r}")
         seen.add(name)
         atoms.append(Atom(i, name))
     if len(atoms) > MAX_ATOMS:

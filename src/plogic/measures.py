@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateMintermError,
+    InvalidArgumentError,
     NegativeMassError,
     SumNotOneError,
     WidthMismatchError,
@@ -87,7 +88,8 @@ class BFunction:
     def __init__(self, n: int, mass: Sequence[Fraction]):
         size = _size(n)
         if len(mass) != size:
-            raise ValueError(f"need {size} masses for {n} atoms, got {len(mass)}")
+            raise InvalidArgumentError(
+                f"need {size} masses for {n} atoms, got {len(mass)}")
         weights, denom = _over_lcm(mass)
         self._set(n, _checked(weights, denom), denom)
 
@@ -122,7 +124,7 @@ class BFunction:
         masses = {}
         for idx, w in weights.items():
             if not 0 <= idx < size:
-                raise ValueError(f"minterm index {idx} out of range for n={n}")
+                raise InvalidArgumentError(f"minterm index {idx} out of range for n={n}")
             masses[idx] = Fraction(w)
         return _spread(n, masses, list(masses.values()))
 
@@ -194,7 +196,7 @@ def is_p_function(bf: BFunction, actual: Valuation) -> bool:
     value 1 must contain the support, hence the actual world.
     """
     if actual.n != bf.n:
-        raise ValueError(f"valuation width {actual.n} does not match n={bf.n}")
+        raise InvalidArgumentError(f"valuation width {actual.n} does not match n={bf.n}")
     return bf.weights[actual.minterm_index] > 0
 
 

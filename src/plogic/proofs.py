@@ -12,74 +12,51 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import ProofFormatError
-from .formulas import And, Not, Sentence, as_implication
+from .formulas import AtomRef, Implies, Not, Sentence, as_implication
 from .parsing import Atom, format_sentence, parse_formula
 
 
 # --- Schemata ---------------------------------------------------------------
+#
+# Each schema is a function from its bindings to the instance sentence.
+# SCHEMATA holds each one applied to the metavariable atoms A, B and C,
+# whose negative ids lie outside every basic set; match_schema reads any
+# atom of a schema sentence as a metavariable.
 
-
-class _PVar:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-
-class _PNot:
-    __slots__ = ("child",)
-
-    def __init__(self, child):
-        self.child = child
-
-
-class _PAnd:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-def _pimp(a, b):
-    return _PNot(_PAnd(a, _PNot(b)))
-
-
-_A, _B, _C = _PVar("A"), _PVar("B"), _PVar("C")
-
-SCHEMATA = {
-    "A1": _pimp(_A, _pimp(_B, _A)),
-    "A2": _pimp(_pimp(_A, _pimp(_B, _C)), _pimp(_pimp(_A, _B), _pimp(_A, _C))),
-    "A3": _pimp(_pimp(_PNot(_B), _PNot(_A)), _pimp(_pimp(_PNot(_B), _A), _B)),
+_BUILD = {
+    "A1": lambda b: Implies(b["A"], Implies(b["B"], b["A"])),
+    "A2": lambda b: Implies(Implies(b["A"], Implies(b["B"], b["C"])),
+                            Implies(Implies(b["A"], b["B"]), Implies(b["A"], b["C"]))),
+    "A3": lambda b: Implies(Implies(Not(b["B"]), Not(b["A"])),
+                            Implies(Implies(Not(b["B"]), b["A"]), b["B"])),
 }
+
+_METAVARIABLES = {name: AtomRef(Atom(-1 - i, name)) for i, name in enumerate("ABC")}
+
+SCHEMATA = {name: build(_METAVARIABLES) for name, build in _BUILD.items()}
 
 SCHEMA_ORDER = ("A1", "A2", "A3")
 
 
-def _match(pattern, sentence: Sentence, bindings: dict) -> bool:
-    t = type(pattern)
-    if t is _PVar:
-        bound = bindings.get(pattern.name)
-        if bound is None:
-            bindings[pattern.name] = sentence
-            return True
-        return bound == sentence
-    if t is _PNot:
-        return type(sentence) is Not and _match(pattern.child, sentence.child, bindings)
-    # _PAnd
-    return (
-        type(sentence) is And
-        and _match(pattern.left, sentence.left, bindings)
-        and _match(pattern.right, sentence.right, bindings)
-    )
-
-
 def match_schema(name: str, s: Sentence) -> dict[str, Sentence] | None:
-    """Bindings under which the named schema instantiates to ``s``, if any."""
+    """Bindings under which the named schema instantiates to ``s``, if any.
+    Each metavariable is bound at its first occurrence, left to right."""
     bindings: dict[str, Sentence] = {}
-    if _match(SCHEMATA[name], s, bindings):
-        return bindings
-    return None
+    stack = [(SCHEMATA[name], s)]
+    while stack:
+        pattern, node = stack.pop()
+        t = type(pattern)
+        if t is AtomRef:
+            if bindings.setdefault(pattern.atom.name, node) != node:
+                return None
+        elif type(node) is not t:
+            return None
+        elif t is Not:
+            stack.append((pattern.child, node.child))
+        else:
+            stack.append((pattern.right, node.right))
+            stack.append((pattern.left, node.left))
+    return bindings
 
 
 def is_axiom_instance(s: Sentence) -> tuple[str, dict[str, Sentence]] | None:
@@ -94,16 +71,7 @@ def is_axiom_instance(s: Sentence) -> tuple[str, dict[str, Sentence]] | None:
 
 def instantiate(name: str, bindings: Mapping[str, Sentence]) -> Sentence:
     """Substitute concrete sentences for the schema's metavariables."""
-
-    def build(pattern):
-        t = type(pattern)
-        if t is _PVar:
-            return bindings[pattern.name]
-        if t is _PNot:
-            return Not(build(pattern.child))
-        return And(build(pattern.left), build(pattern.right))
-
-    return build(SCHEMATA[name])
+    return _BUILD[name](bindings)
 
 
 # --- Deductions -------------------------------------------------------------

@@ -4,9 +4,11 @@ density-one filter, with honest three-valued verdicts.
 A value stores one representative sequence plus whatever structure its
 construction declared -- a standard constant, a true limit, strict
 positivity, a polynomial over the underlying sequence leaves, finitely
-many edits against a base, or a periodic interleave.  Verdicts (equality,
-order, classification) are decided exactly from declared structure and
-degrade to Unknown with prefix evidence, never to a wrong yes or no.
+many edits against a base, or a periodic interleave.  Equality, order,
+invertibility and infinite closeness all read one structural comparison,
+the sign of x - y on a density-one index set; classification reads the
+declared standard and limit.  Each degrades to Unknown with prefix
+evidence, never to a wrong yes or no.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .density import DEFAULT_HORIZON, NO, YES, Verdict, unknown
-from .errors import ReciprocalOfInfinitesimalOrZeroError
+from .errors import InvalidArgumentError, ReciprocalOfInfinitesimalOrZeroError
 
 
 class _Infinite:
@@ -93,12 +95,11 @@ class QNumber:
     strictly_positive: bool = False
     poly: Mapping | None = None
     edit_base: "QNumber | None" = None
-    edit_keys: frozenset[int] = frozenset()
     components: "tuple[QNumber, ...] | None" = None
 
     def term(self, n: int) -> Fraction:
         if n < 1:
-            raise ValueError("sequence indices start at 1")
+            raise InvalidArgumentError("sequence indices start at 1")
         return Fraction(self.seq(n))
 
     def prefix(self, count: int) -> list[Fraction]:
@@ -129,15 +130,13 @@ class QNumber:
         structure survives because the change set is finite."""
         fixed = {int(k): Fraction(v) for k, v in edits.items()}
         if any(k < 1 for k in fixed):
-            raise ValueError("edit indices start at 1")
+            raise InvalidArgumentError("edit indices start at 1")
         base = self
 
         def seq(n, _b=base.seq, _f=fixed):
             got = _f.get(n)
             return got if got is not None else _b(n)
 
-        root = base.edit_base if base.edit_base is not None else base
-        keys = base.edit_keys | frozenset(fixed)
         return QNumber(
             seq,
             standard=base.standard,
@@ -145,8 +144,7 @@ class QNumber:
             strictly_positive=base.strictly_positive
             and all(v > 0 for v in fixed.values()),
             poly=None,
-            edit_base=root,
-            edit_keys=keys,
+            edit_base=_base(base),
         )
 
 
@@ -201,7 +199,7 @@ def cycle(components: Sequence[QNumber]) -> QNumber:
     """Interleave: term n comes from component (n-1) mod len."""
     comps = tuple(components)
     if not comps:
-        raise ValueError("need at least one component")
+        raise InvalidArgumentError("need at least one component")
     size = len(comps)
 
     def seq(n, _c=comps, _s=size):
@@ -285,25 +283,6 @@ def _lift_negate(x: QNumber) -> QNumber:
     return QNumber(seq, standard=std, limit=limit, poly=poly)
 
 
-def invertible(x: QNumber) -> Verdict:
-    """Is zero strictly below |x| through the filter?  Yes exactly when
-    reciprocal is admissible; note a positive infinitesimal qualifies (its
-    reciprocal is an infinite value)."""
-    if x.standard is not None:
-        return YES if x.standard != 0 else NO
-    if x.strictly_positive:
-        return YES  # every term exceeds zero
-    if x.limit is not None:
-        if isinstance(x.limit, _Infinite) or x.limit != 0:
-            return YES  # terms eventually bounded away from zero
-    return _invert_unknown(x)
-
-
-def _invert_unknown(x: QNumber) -> Verdict:
-    count = sum(1 for n in range(1, DEFAULT_HORIZON + 1) if x.term(n) != 0)
-    return unknown(DEFAULT_HORIZON, Fraction(count, DEFAULT_HORIZON))
-
-
 def _lift_reciprocal(x: QNumber) -> QNumber:
     verdict = invertible(x)
     if not verdict.is_yes:
@@ -345,9 +324,9 @@ def q_lift(op: str, *args) -> QNumber:
     try:
         fn, arity = _LIFTS[op]
     except KeyError:
-        raise ValueError(f"unknown lift {op!r}") from None
+        raise InvalidArgumentError(f"unknown lift {op!r}") from None
     if len(args) != arity:
-        raise ValueError(f"{op} expects {arity} arguments, got {len(args)}")
+        raise InvalidArgumentError(f"{op} expects {arity} arguments, got {len(args)}")
     return fn(*(_coerce(a) for a in args))
 
 
@@ -358,122 +337,117 @@ def reciprocal(x: QNumber) -> QNumber:
 # --- Verdicts -------------------------------------------------------------------
 
 
-def _strip_edits(x: QNumber) -> tuple[QNumber, frozenset[int]]:
-    if x.edit_base is not None:
-        return x.edit_base, x.edit_keys
-    return x, frozenset()
+def _base(x: QNumber) -> QNumber:
+    return x.edit_base or x
 
 
-def _diff_poly(x: QNumber, y: QNumber) -> _Poly | None:
+def _sign(v: Fraction) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _gap(x: QNumber, y: QNumber) -> Fraction | None:
+    """The constant c with x_n - y_n = c at every index, when the two
+    polynomials differ by a constant."""
     if x.poly is None or y.poly is None:
         return None
-    return _poly_add(x.poly, _poly_neg(y.poly))
+    d = _poly_add(x.poly, _poly_neg(y.poly))
+    if d.keys() <= {()}:
+        return d.get((), Fraction(0))
+    return None
 
 
-_FULL, _NULL, _UNDECIDED = "full", "null", "undecided"
-
-
-def _agreement_class(x: QNumber, y: QNumber) -> str:
-    """Conservative classification of {n : x_n = y_n}: provably of density
-    one (it contains a filter set), provably of density zero, or undecided.
-    """
+def _order(x: QNumber, y: QNumber) -> int | None:
+    """Sign of x - y on a density-one index set (-1, 0 or 1) when the
+    declared structure decides it, else None.  Finitely many edits are
+    invisible to the filter, so both sides are read through them."""
+    x, y = _base(x), _base(y)
     if x is y:
-        return _FULL
-    d = _diff_poly(x, y)
-    if d is not None:
-        if not d:
-            return _FULL  # pointwise-identical sequences
-        if set(d) == {()}:
-            return _NULL  # constant nonzero difference
+        return 0
+    gap = _gap(x, y)
+    if gap is not None:
+        return _sign(gap)
     if x.standard is not None and y.standard is not None:
         # Each standard pins its sequence on a filter set; on the
         # intersection the terms are the two constants.
-        return _FULL if x.standard == y.standard else _NULL
-    if _sign_separated(x, y):
-        return _NULL
-    lx, ly = x.limit, y.limit
-    if lx is not None and ly is not None:
-        if isinstance(lx, _Infinite) != isinstance(ly, _Infinite):
-            return _NULL
-        if not isinstance(lx, _Infinite) and lx != ly:
-            return _NULL
-    return _UNDECIDED
-
-
-def _sign_separated(x: QNumber, y: QNumber) -> bool:
-    """True when one side is a standard at or below zero and the other is
-    strictly positive everywhere."""
+        return _sign(x.standard - y.standard)
     if x.standard is not None and x.standard <= 0 and y.strictly_positive:
-        return True
-    return y.standard is not None and y.standard <= 0 and x.strictly_positive
+        return -1
+    if y.standard is not None and y.standard <= 0 and x.strictly_positive:
+        return 1
+    lx, ly = x.limit, y.limit
+    if lx is None or ly is None:
+        return None
+    xinf, yinf = isinstance(lx, _Infinite), isinstance(ly, _Infinite)
+    if xinf or yinf:
+        return None if xinf and yinf else (1 if xinf else -1)
+    return _sign(lx - ly) or None  # equal limits leave the sign open
 
 
-def q_equal(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
-    """Do the sequences agree on a density-one index set?"""
+def _sweep(horizon: int, hit: Callable[[int], bool]) -> Verdict:
+    """Unknown, with the share of indices 1..horizon where ``hit`` holds."""
+    count = sum(1 for n in range(1, horizon + 1) if hit(n))
+    return unknown(horizon, Fraction(count, horizon))
+
+
+def _check_horizon(horizon: int) -> None:
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    bx, _ = _strip_edits(x)
-    by, _ = _strip_edits(y)
-    cls = _agreement_class(bx, by)
-    if cls == _FULL:
-        return YES
-    if cls == _NULL:
-        return NO
-    slots = _cycle_slots(bx, by)
-    if slots is not None:
-        classes = [_agreement_class(a, b) for a, b in slots]
-        if all(c == _FULL for c in classes):
-            return YES
-        if all(c != _UNDECIDED for c in classes):
-            return NO  # some slot never agrees: density < 1
-    agree = sum(1 for n in range(1, horizon + 1) if x.term(n) == y.term(n))
-    return unknown(horizon, Fraction(agree, horizon))
+        raise InvalidArgumentError("horizon must be at least 1")
 
 
-def _cycle_slots(x: QNumber, y: QNumber):
+def invertible(x: QNumber) -> Verdict:
+    """Is zero strictly below |x| through the filter?  Yes exactly when
+    reciprocal is admissible; note a positive infinitesimal qualifies (its
+    reciprocal is an infinite value)."""
+    order = _order(x, standard(0))
+    if order is not None:
+        return YES if order else NO
+    return _sweep(DEFAULT_HORIZON, lambda n: x.term(n) != 0)
+
+
+def _equal_by_structure(x: QNumber, y: QNumber) -> Verdict | None:
+    """q_equal's answer from declared structure alone, or None.  Without
+    an overall order, interleaves are compared slot by slot: equal in
+    every slot is equal, and a slot decided unequal holds a set of
+    positive density where the two disagree."""
+    order = _order(x, y)
+    if order is not None:
+        return NO if order else YES
+    orders = [_order(a, b) for a, b in _cycle_slots(_base(x), _base(y))]
+    if not orders or None in orders:
+        return None
+    return NO if any(orders) else YES
+
+
+def _cycle_slots(x: QNumber, y: QNumber) -> list[tuple[QNumber, QNumber]]:
     """Pair each interleave component with its counterpart, when the
     structure makes slot positions line up."""
     if x.components is not None and y.components is not None:
         if len(x.components) == len(y.components):
             return list(zip(x.components, y.components))
-        return None
+        return []
     if x.components is not None:
         return [(c, y) for c in x.components]
     if y.components is not None:
         return [(x, c) for c in y.components]
-    return None
+    return []
+
+
+def q_equal(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
+    """Do the sequences agree on a density-one index set?"""
+    _check_horizon(horizon)
+    verdict = _equal_by_structure(x, y)
+    if verdict is not None:
+        return verdict
+    return _sweep(horizon, lambda n: x.term(n) == y.term(n))
 
 
 def q_less(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Is x_n < y_n on a density-one index set?"""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    bx, _ = _strip_edits(x)
-    by, _ = _strip_edits(y)
-    if bx is by:
-        return NO
-    d = _diff_poly(by, bx)  # y - x
-    if d is not None:
-        if not d:
-            return NO
-        if set(d) == {()}:
-            return YES if d[()] > 0 else NO
-    lx, ly = bx.limit, by.limit
-    if lx is not None and ly is not None:
-        xinf = isinstance(lx, _Infinite)
-        yinf = isinstance(ly, _Infinite)
-        if xinf and not yinf:
-            return NO
-        if yinf and not xinf:
-            return YES
-        if not xinf and not yinf and lx != ly:
-            return YES if lx < ly else NO
-    if bx.standard is not None and bx.standard <= 0 and by.strictly_positive:
-        return YES
-    if by.standard is not None and by.standard <= 0 and bx.strictly_positive:
-        return NO
-    below = sum(1 for n in range(1, horizon + 1) if x.term(n) < y.term(n))
-    return unknown(horizon, Fraction(below, horizon))
+    _check_horizon(horizon)
+    order = _order(x, y)
+    if order is not None:
+        return YES if order < 0 else NO
+    return _sweep(horizon, lambda n: x.term(n) < y.term(n))
 
 
 @dataclass(frozen=True)
@@ -494,9 +468,8 @@ def q_classify(x: QNumber, horizon: int = DEFAULT_HORIZON) -> Classification:
     """Infinitesimal: below every positive bound through the filter (the
     zero standard counts).  Infinite: above every natural bound.  Standard
     or convergent elsewhere: finite-appreciable."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    base, _ = _strip_edits(x)
+    _check_horizon(horizon)
+    base = _base(x)
     if base.standard is not None:
         return Classification("infinitesimal" if base.standard == 0
                               else "finite-appreciable")
@@ -511,26 +484,16 @@ def q_classify(x: QNumber, horizon: int = DEFAULT_HORIZON) -> Classification:
 
 def infinitely_close(x: QNumber, y: QNumber,
                      horizon: int = DEFAULT_HORIZON) -> Verdict:
-    """Is |x - y| zero or infinitesimal?"""
-    if q_equal(x, y, horizon).is_yes:
+    """Is |x - y| zero or infinitesimal?  Never sweeps: Unknown carries
+    |x_h - y_h| at the horizon."""
+    _check_horizon(horizon)
+    if _equal_by_structure(x, y) is YES:
         return YES
-    d = _diff_poly(x, y)
-    if d is not None:
-        if not d:
-            return YES
-        if set(d) == {()}:
-            return YES if d[()] == 0 else NO
-    bx, _ = _strip_edits(x)
-    by, _ = _strip_edits(y)
+    bx, by = _base(x), _base(y)
+    if _gap(bx, by) is not None:
+        return NO  # a constant gap; a zero gap was equality above
     lx, ly = bx.limit, by.limit
-    if lx is not None and ly is not None:
-        xinf = isinstance(lx, _Infinite)
-        yinf = isinstance(ly, _Infinite)
-        if xinf and yinf:
-            pass  # both diverge; the difference is unconstrained
-        elif xinf != yinf:
-            return NO
-        else:
-            return YES if lx == ly else NO
-    diff = x - y
-    return unknown(horizon, abs(diff.term(horizon)))
+    if lx is not None and ly is not None and not (
+            isinstance(lx, _Infinite) and isinstance(ly, _Infinite)):
+        return YES if lx == ly else NO
+    return unknown(horizon, abs(x.term(horizon) - y.term(horizon)))

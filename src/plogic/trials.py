@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mul
 
-from .errors import EmptyRangeError
+from .errors import EmptyRangeError, InvalidArgumentError
 from .formulas import And, Atom, AtomRef, Not, Or, Sentence
 from .measures import BFunction, _size
 
@@ -33,11 +33,11 @@ class TestSequence:
 
     def __post_init__(self):
         if len(self.atoms) < 1:
-            raise ValueError("need at least one test")
+            raise InvalidArgumentError("need at least one test")
         if len({a.id for a in self.atoms}) != len(self.atoms):
-            raise ValueError("test atoms must be distinct")
+            raise InvalidArgumentError("test atoms must be distinct")
         if not 0 <= self.p <= 1:
-            raise ValueError(f"success probability {self.p} outside [0, 1]")
+            raise InvalidArgumentError(f"success probability {self.p} outside [0, 1]")
 
     @classmethod
     def of(cls, r: int, p: _RationalLike) -> "TestSequence":
@@ -50,7 +50,7 @@ class TestSequence:
     def st(self, n: int) -> Sentence:
         """The n-th test sentence, 1-based."""
         if not 1 <= n <= self.r:
-            raise ValueError(f"test index {n} outside 1..{self.r}")
+            raise InvalidArgumentError(f"test index {n} outside 1..{self.r}")
         return AtomRef(self.atoms[n - 1])
 
 
@@ -81,26 +81,24 @@ class RangeSpec:
 def enumerate_series(ts: TestSequence, r: int, k: int) -> list[Sentence]:
     """All left-nested conjunction chains of the first r tests with the
     positive occurrences at exactly k positions, positive-position sets in
-    lexicographic order."""
+    colexicographic order (the largest differing position decides)."""
     if not 1 <= r <= ts.r:
-        raise ValueError(f"range {r} outside 1..{ts.r}")
+        raise InvalidArgumentError(f"range {r} outside 1..{ts.r}")
     if not 0 <= k <= r:
-        raise ValueError(f"run count {k} outside 0..{r}")
+        raise InvalidArgumentError(f"run count {k} outside 0..{r}")
 
-    def build(n: int, j: int) -> list[Sentence]:
+    # rows[j]: the chains of the first n tests with j positives, for each
+    # j from which k is still reachable; each chain is the shared prefix
+    # of its two extensions.
+    first = ts.st(1)
+    rows = {0: [Not(first)], 1: [first]}
+    for n in range(2, r + 1):
         test = ts.st(n)
-        if n == 1:
-            if j == 1:
-                return [test]
-            if j == 0:
-                return [Not(test)]
-            return []
-        out = [And(prefix, Not(test)) for prefix in build(n - 1, j)]
-        if j >= 1:
-            out.extend(And(prefix, test) for prefix in build(n - 1, j - 1))
-        return out
-
-    return build(r, k)
+        neg = Not(test)
+        rows = {j: [And(prefix, neg) for prefix in rows.get(j, ())]
+                + [And(prefix, test) for prefix in rows.get(j - 1, ())]
+                for j in range(max(0, k - r + n), min(k, n) + 1)}
+    return rows[k]
 
 
 def t_disjunction(ts: TestSequence, r: int, k: int) -> Sentence:
@@ -145,7 +143,11 @@ def product_bfunction(ts: TestSequence) -> BFunction:
 
 def point_prob(r: int, k: int, p: _RationalLike) -> Fraction:
     """Exact binomial term C(r, k) p^k (1-p)^(r-k)."""
+    if r < 1:
+        raise InvalidArgumentError("need at least one test")
     p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InvalidArgumentError(f"success probability {p} outside [0, 1]")
     return math.comb(r, k) * p**k * (1 - p) ** (r - k)
 
 
@@ -153,10 +155,10 @@ def range_prob(r: int, a: _RationalLike, b: _RationalLike, p: _RationalLike) -> 
     """Exact sum of binomial terms over the derived run-count window;
     an empty window sums to zero."""
     if r < 1:
-        raise ValueError("need at least one test")
+        raise InvalidArgumentError("need at least one test")
     p = Fraction(p)
     if not 0 <= p <= 1:
-        raise ValueError(f"success probability {p} outside [0, 1]")
+        raise InvalidArgumentError(f"success probability {p} outside [0, 1]")
     spec = RangeSpec.derive(a, b, r)
     if spec.empty:
         return Fraction(0)
@@ -184,11 +186,11 @@ def lln_bound(r: int, p: _RationalLike, eps: _RationalLike) -> Fraction:
     p = Fraction(p)
     eps = Fraction(eps)
     if r < 1:
-        raise ValueError("need at least one test")
+        raise InvalidArgumentError("need at least one test")
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InvalidArgumentError("eps must be positive")
     if not 0 <= p <= 1:
-        raise ValueError(f"success probability {p} outside [0, 1]")
+        raise InvalidArgumentError(f"success probability {p} outside [0, 1]")
     return 1 - p * (1 - p) / (r * eps * eps)
 
 
@@ -216,7 +218,7 @@ def simulate_frequencies(
     trial owns a private stream keyed by (seed, trial index).
     """
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise InvalidArgumentError("need at least one trial")
     r = ts.r
     p = ts.p
     if workers <= 1:

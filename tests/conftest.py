@@ -1,7 +1,7 @@
 """Shared generators for the test suite: random sentences, random exact
 measures, and exhaustive sentence corpora; an independent recursive
-evaluator and per-minterm mass sum; and an independent oracle for the
-derivability boundary of the proof kernel."""
+evaluator, per-minterm mass sum and run-count series; and an independent
+oracle for the derivability boundary of the proof kernel."""
 
 from __future__ import annotations
 
@@ -51,6 +51,19 @@ def random_sparse_bfunction(rng: random.Random, n: int) -> BFunction:
         weights[rng.randrange(size)] = 1
     total = sum(weights)
     return BFunction(n, tuple(Fraction(w, total) for w in weights))
+
+
+def reference_series(ts, r: int, k: int) -> list[Sentence]:
+    """The (r, k) run-count series by its defining recursion: the chains
+    of r - 1 tests with k positives, each extended by the negated r-th
+    test, then those with k - 1 positives extended by the r-th test."""
+    test = ts.st(r)
+    if r == 1:
+        return {0: [Not(test)], 1: [test]}.get(k, [])
+    out = [And(prefix, Not(test)) for prefix in reference_series(ts, r - 1, k)]
+    if k >= 1:
+        out += [And(prefix, test) for prefix in reference_series(ts, r - 1, k - 1)]
+    return out
 
 
 def exhaustive_sentences(atoms, depth: int) -> list[Sentence]:

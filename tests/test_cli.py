@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from plogic.cli import fmt_decimal, fmt_rational, main, run
 from plogic.measures import load_distribution
 from plogic.proofs import check_deduction, parse_proof
@@ -237,4 +239,28 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert "RecursionError" in lines[0]
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestArgumentErrors:
+    """Out-of-domain arguments end in exit status 1 and one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "A", "--world", "2"],
+        ["lln", "--r", "0", "--p", "1/2", "--eps", "1/10"],
+        ["lln", "--r", "10", "--p", "3/2", "--eps", "1/10"],
+        ["lln", "--r", "10", "--p", "1/2", "--eps", "1/10", "--trials", "-5"],
+        ["lln", "--r", "10", "--p", "1/2", "--eps", "1/10", "--trials", "0"],
+        ["qnum", "freq", "periodic", "01", "--n", "0"],
+        ["qnum", "filter", "finite", "0,1"],
+        ["qnum", "eq", "--horizon", "0", "const", "1", ",", "const", "1"],
+        ["bernoulli", "--r", "3", "--p", "2"],
+        ["bernoulli", "--r", "-1", "--p", "1/2"],
+    ])
+    def test_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
         assert "Traceback" not in captured.out + captured.err

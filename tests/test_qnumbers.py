@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plogic.errors import ReciprocalOfInfinitesimalOrZeroError
+from plogic.errors import InvalidArgumentError, ReciprocalOfInfinitesimalOrZeroError
 from plogic.qnumbers import (
     cycle,
     from_function,
@@ -294,3 +296,87 @@ class TestPurity:
             harmonic().term(0)
         with pytest.raises(ValueError):
             q_equal(standard(1), standard(1), horizon=0)
+
+    def test_every_horizon_is_checked_before_structure_decides(self):
+        one, two = standard(1), standard(2)
+        for verdict in (q_equal, q_less, infinitely_close):
+            with pytest.raises(InvalidArgumentError):
+                verdict(one, two, horizon=0)
+        with pytest.raises(InvalidArgumentError):
+            q_classify(one, horizon=-1)
+
+
+class TestStructuralOrder:
+    """Every verdict reads one structural comparison of x - y."""
+
+    def test_equal_standards_are_not_less(self):
+        assert q_less(cycle([standard(1), standard(1)]), standard(1)).is_no
+        assert q_less(reciprocal(standard(2)), standard(F(1, 2))).is_no
+
+    def test_constant_gap_is_seen_through_edits(self):
+        f = _random_seq(15)
+        assert infinitely_close((f + standard(1)).with_edits({2: F(5)}), f).is_no
+
+    def test_zero_polynomial_is_not_invertible(self):
+        f = _random_seq(16)
+        assert invertible(f - f).is_no
+
+    def test_close_reads_opaque_sequences_only_at_the_horizon(self):
+        reads = []
+
+        def counted(tag, period):
+            def seq(n):
+                reads.append((tag, n))
+                return F(n % period)
+            return from_function(seq)
+
+        verdict = infinitely_close(counted("x", 5), counted("y", 3), horizon=10_000)
+        assert verdict.is_unknown
+        assert (verdict.horizon, verdict.frequency) == (10_000, 1)
+        assert sorted(reads) == [("x", 10_000), ("y", 10_000)]
+
+
+# Shared leaves, so that expressions can cancel and compare structurally.
+_LEAVES = [harmonic(), ramp(), _random_seq(21), _random_seq(22)]
+_small = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _grow(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: p[0] + p[1]),
+        pairs.map(lambda p: p[0] - p[1]),
+        pairs.map(lambda p: p[0] * p[1]),
+        children.map(lambda x: -x),
+        st.lists(children, min_size=1, max_size=3).map(cycle),
+        st.tuples(children, st.dictionaries(st.integers(1, 60), _small,
+                                            min_size=1, max_size=2))
+        .map(lambda p: p[0].with_edits(p[1])),
+    )
+
+
+_expressions = st.recursive(
+    st.one_of(_small.map(standard), st.sampled_from(_LEAVES)), _grow, max_leaves=5)
+
+
+class TestVerdictsAgree:
+    """Decided verdicts never contradict one another."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_expressions, _expressions, st.integers(1, 50))
+    def test_equal_less_and_close(self, x, y, horizon):
+        if q_equal(x, y, horizon).is_yes:
+            assert infinitely_close(x, y, horizon).is_yes
+            assert not q_less(x, y, horizon).is_yes
+            assert not q_less(y, x, horizon).is_yes
+        if q_less(x, y, horizon).is_yes:
+            assert not q_less(y, x, horizon).is_yes
+            assert not q_equal(x, y, horizon).is_yes
+
+    @settings(max_examples=40, deadline=None)
+    @given(_expressions)
+    def test_invertible_matches_equality_with_zero(self, x):
+        inv = invertible(x)
+        eq = q_equal(x, standard(0), horizon=50)
+        if not (inv.is_unknown or eq.is_unknown):
+            assert inv.is_yes == eq.is_no

@@ -7,8 +7,22 @@ from fractions import Fraction
 
 import pytest
 
-from plogic.errors import EmptyRangeError, TooManyAtomsError
-from plogic.formulas import MAX_ATOMS, And, Not, Or, all_valuations, evaluate
+from conftest import reference_series
+from plogic.errors import (
+    EmptyRangeError,
+    InvalidArgumentError,
+    PlogicError,
+    TooManyAtomsError,
+)
+from plogic.formulas import (
+    MAX_ATOMS,
+    And,
+    Not,
+    Or,
+    all_valuations,
+    evaluate,
+    format_sentence,
+)
 from plogic.measures import b_eval
 from plogic.trials import (
     RangeSpec,
@@ -65,6 +79,21 @@ class TestSeriesEnumeration:
             satisfying = [v for v in all_valuations(4) if evaluate(series, v)]
             assert len(satisfying) == 1  # a complete conjunction of literals
             assert sum(satisfying[0].bits) == 2
+
+    def test_matches_recursive_oracle(self):
+        ts = TestSequence.of(8, Fraction(1, 3))
+        for r in range(1, 9):
+            for k in range(r + 1):
+                got = [format_sentence(s) for s in enumerate_series(ts, r, k)]
+                want = [format_sentence(s) for s in reference_series(ts, r, k)]
+                assert got == want
+
+    def test_chains_longer_than_the_recursion_limit(self):
+        ts = TestSequence.of(1200, HALF)
+        (none,) = enumerate_series(ts, 1200, 0)
+        (every,) = enumerate_series(ts, 1200, 1200)
+        assert format_sentence(none) == " & ".join(f"!X{n}" for n in range(1, 1201))
+        assert format_sentence(every) == " & ".join(f"X{n}" for n in range(1, 1201))
 
     def test_range_violations(self):
         ts = TestSequence.of(3, HALF)
@@ -280,6 +309,18 @@ class TestSampling:
 
 
 class TestValidation:
+    def test_argument_errors_are_library_errors(self):
+        assert issubclass(InvalidArgumentError, PlogicError)
+        assert issubclass(InvalidArgumentError, ValueError)
+
+    def test_point_prob_checks_range_and_probability(self):
+        with pytest.raises(InvalidArgumentError, match="at least one test"):
+            point_prob(0, 0, HALF)
+        with pytest.raises(InvalidArgumentError, match="outside"):
+            point_prob(3, 1, Fraction(3, 2))
+        with pytest.raises(InvalidArgumentError, match="outside"):
+            point_prob(3, 1, -HALF)
+
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
             TestSequence.of(3, Fraction(3, 2))
