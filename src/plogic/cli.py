@@ -31,7 +31,11 @@ def fmt_decimal(q: Fraction, digits: int = 12) -> str:
 
 
 def fmt_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    """Exact text of q at any size: Decimal prints an int's digits without
+    the interpreter's int-to-str digit limit, which stays untouched because
+    run() also serves in-process callers."""
+    num = decimal.Decimal(q.numerator)
+    return f"{num}/{decimal.Decimal(q.denominator)}" if q.denominator != 1 else str(num)
 
 
 def fmt_number(q: Fraction) -> str:

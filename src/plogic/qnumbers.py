@@ -7,12 +7,13 @@ positivity, a polynomial over the underlying sequence leaves, finitely
 many edits against a base, or a periodic interleave.  Equality, order,
 invertibility and infinite closeness all read one structural comparison,
 the sign of x - y on a density-one index set; classification reads the
-declared standard and limit.  Each degrades to Unknown with prefix
-evidence, never to a wrong yes or no.
+declared standard, a constant polynomial and the limit.  Each degrades to
+Unknown with prefix evidence, never to a wrong yes or no.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,14 +184,17 @@ def from_function(
     )
 
 
+@functools.cache
 def harmonic() -> QNumber:
-    """The sequence 1/n: positive everywhere, limit zero."""
+    """The sequence 1/n: positive everywhere, limit zero.  One shared
+    value, so two readings of it compare equal by identity."""
     return from_function(lambda n: Fraction(1, n), limit=Fraction(0),
                          strictly_positive=True)
 
 
+@functools.cache
 def ramp() -> QNumber:
-    """The sequence n: diverges to +oo."""
+    """The sequence n: diverges to +oo.  One shared value, like harmonic."""
     return from_function(lambda n: Fraction(n), limit=INFINITE,
                          strictly_positive=True)
 
@@ -470,8 +474,10 @@ def q_classify(x: QNumber, horizon: int = DEFAULT_HORIZON) -> Classification:
     or convergent elsewhere: finite-appreciable."""
     _check_horizon(horizon)
     base = _base(x)
-    if base.standard is not None:
-        return Classification("infinitesimal" if base.standard == 0
+    # A standard, or a polynomial that is a constant, pins the value.
+    value = base.standard if base.standard is not None else _gap(base, standard(0))
+    if value is not None:
+        return Classification("infinitesimal" if value == 0
                               else "finite-appreciable")
     limit = base.limit
     if isinstance(limit, _Infinite):

@@ -8,13 +8,15 @@ realized by the product measure on those atoms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from operator import mul
 
 from .errors import EmptyRangeError, InvalidArgumentError
@@ -141,56 +143,142 @@ def product_bfunction(ts: TestSequence) -> BFunction:
     return BFunction._of(r, tuple(weights), den**r)
 
 
-def point_prob(r: int, k: int, p: _RationalLike) -> Fraction:
-    """Exact binomial term C(r, k) p^k (1-p)^(r-k)."""
+# Term ratios folded one at a time before _window_numerator merges pairwise.
+_RUN = 32
+
+
+@functools.cache
+def _primes(bits: int) -> tuple[int, ...]:
+    """The primes below 2**bits, by the sieve of Eratosthenes; cached, so
+    every r of one bit length reads one table."""
+    bound = 1 << bits
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, bound, i)))
+    return tuple(compress(range(bound), sieve))
+
+
+def _balanced(merge, items: list, empty):
+    """Fold ``items`` with an associative ``merge`` in pairwise rounds, so
+    that the big merges get operands of equal size."""
+    while len(items) > 1:
+        pairs = iter(items)
+        merged = [*map(merge, pairs, pairs)]
+        if len(items) % 2:
+            merged.append(items[-1])
+        items = merged
+    return items[0] if items else empty
+
+
+def _merge_ratios(left: tuple, right: tuple) -> tuple:
+    """(P, Q, T) of two adjacent ranges of term ratios as one range."""
+    p1, q1, t1 = left
+    p2, q2, t2 = right
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _binomial(r: int, k: int) -> int:
+    """C(r, k) for 0 <= k <= r.
+
+    Beyond k of about 21 r^0.4 (measured crossover on CPython 3.11),
+    ``math.comb``'s divide-and-conquer with big divisions loses to the
+    prime factorisation (Goetgheluck, Amer. Math. Monthly 94, 1987): q
+    divides C(r, k) q^e times, e from Legendre's formula, and e is the
+    number of carries when adding k and r-k in base q, so at most 1 for
+    q > sqrt(r) and exactly 1 for q > r-k."""
+    k = min(k, r - k)
+    if k < 21 * r**0.4:
+        return math.comb(r, k)
+    m = r - k
+    primes = _primes(r.bit_length())
+    small = bisect_right(primes, math.isqrt(r))
+    mid = bisect_right(primes, m)
+    factors = []
+    for q in primes[:small]:
+        e = 0
+        a, b, c = r, k, m
+        while a:
+            a, b, c = a // q, b // q, c // q
+            e += a - b - c
+        if e:
+            factors.append(q**e)
+    factors += [q for q in primes[small:mid] if r % q < k % q]
+    factors += primes[mid:bisect_right(primes, r)]
+    return _balanced(mul, factors, 1)
+
+
+def _window_numerator(r: int, k: int, l: int, num: int, comp: int) -> int:
+    """Sum of C(r, j) num^j comp^(r-j) for j in k..l, 0 <= k <= l <= r.
+
+    Term j+1 is term j times a_j / b_j with a_j = (r-j) num and
+    b_j = (j+1) comp, so the sum is term k times 1 + T/Q, where a range
+    of ratios has P = prod a, Q = prod b and T/Q = sum of the prefix
+    products P_i/Q_i.  Binary splitting (Haible & Papanikolaou, ANTS-III,
+    LNCS 1423, 1998) builds (P, Q, T) for runs of _RUN ratios one ratio at
+    a time, while the numbers are small, then merges the runs pairwise, so
+    that every big product is balanced.  Q is comp^(l-k) (k+1)...l, and
+    C(r, k) (Q + T) is divisible by (k+1)...l, which leaves one exact
+    division.  num = 0 or comp = 0 needs no case of its own: 0**0 == 1
+    keeps the single nonzero term."""
+    triples = []
+    for start in range(k, l, _RUN):
+        p = q = 1
+        t = 0
+        for j in range(start, min(start + _RUN, l)):
+            a = (r - j) * num
+            b = (j + 1) * comp
+            t = t * b + p * a
+            p *= a
+            q *= b
+        triples.append((p, q, t))
+    _, q, t = _balanced(_merge_ratios, triples, (1, 1, 0))
+    inner = _binomial(r, k) * (q + t) // math.perm(l, l - k)
+    return inner * num**k * comp ** (r - l)
+
+
+def _bernoulli_p(r: int, p: _RationalLike) -> Fraction:
+    """The checked success probability of r repeated tests."""
     if r < 1:
         raise InvalidArgumentError("need at least one test")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InvalidArgumentError(f"success probability {p} outside [0, 1]")
-    return math.comb(r, k) * p**k * (1 - p) ** (r - k)
+    return p
+
+
+def _window_prob(r: int, k: int, l: int, p: Fraction) -> Fraction:
+    num, den = p.numerator, p.denominator
+    # den - num is the numerator of 1-p over the same denominator.
+    return Fraction(_window_numerator(r, k, l, num, den - num), den**r)
+
+
+def point_prob(r: int, k: int, p: _RationalLike) -> Fraction:
+    """Exact binomial term C(r, k) p^k (1-p)^(r-k)."""
+    p = _bernoulli_p(r, p)
+    if not 0 <= k <= r:
+        raise InvalidArgumentError(f"run count {k} outside 0..{r}")
+    return _window_prob(r, k, k, p)
 
 
 def range_prob(r: int, a: _RationalLike, b: _RationalLike, p: _RationalLike) -> Fraction:
     """Exact sum of binomial terms over the derived run-count window;
     an empty window sums to zero."""
-    if r < 1:
-        raise InvalidArgumentError("need at least one test")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise InvalidArgumentError(f"success probability {p} outside [0, 1]")
+    p = _bernoulli_p(r, p)
     spec = RangeSpec.derive(a, b, r)
     if spec.empty:
         return Fraction(0)
-    num = p.numerator
-    den = p.denominator
-    comp = den - num  # numerator of 1-p over the same denominator
-    # Sum C(r,j) num^j comp^(r-j) over j, all over den^r.
-    total = 0
-    coeff = math.comb(r, spec.k)
-    power = num**spec.k * comp ** (r - spec.k)
-    for j in range(spec.k, spec.l + 1):
-        total += coeff * power
-        if j < spec.l:
-            coeff = coeff * (r - j) // (j + 1)
-            if comp:
-                power = power * num // comp
-            else:
-                power = num ** (j + 1) * comp ** (r - j - 1)
-    return Fraction(total, den**r)
+    return _window_prob(r, spec.k, spec.l, p)
 
 
 def lln_bound(r: int, p: _RationalLike, eps: _RationalLike) -> Fraction:
     """Variance tail bound 1 - p(1-p)/(r eps^2); exact and unclamped, so
     it may be negative (vacuous) for small r."""
-    p = Fraction(p)
+    p = _bernoulli_p(r, p)
     eps = Fraction(eps)
-    if r < 1:
-        raise InvalidArgumentError("need at least one test")
     if eps <= 0:
         raise InvalidArgumentError("eps must be positive")
-    if not 0 <= p <= 1:
-        raise InvalidArgumentError(f"success probability {p} outside [0, 1]")
     return 1 - p * (1 - p) / (r * eps * eps)
 
 

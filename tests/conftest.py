@@ -1,11 +1,13 @@
 """Shared generators for the test suite: random sentences, random exact
 measures, and exhaustive sentence corpora; an independent recursive
-evaluator, per-minterm mass sum and run-count series; and an independent
-oracle for the derivability boundary of the proof kernel."""
+evaluator, per-minterm mass sum, run-count series and binomial window sum;
+and an independent oracle for the derivability boundary of the proof
+kernel."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Mapping
@@ -64,6 +66,14 @@ def reference_series(ts, r: int, k: int) -> list[Sentence]:
     if k >= 1:
         out += [And(prefix, test) for prefix in reference_series(ts, r - 1, k - 1)]
     return out
+
+
+def reference_window_prob(r: int, a: int, b: int, p: Fraction) -> Fraction:
+    """Probability that r independent tests of success chance p succeed
+    between a and b times inclusive: the binomial terms summed one by one
+    as Fractions, independent of plogic.trials' integer kernel."""
+    return sum((math.comb(r, j) * p**j * (1 - p) ** (r - j)
+                for j in range(r + 1) if a <= j <= b), Fraction(0))
 
 
 def exhaustive_sentences(atoms, depth: int) -> list[Sentence]:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, and file handling."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,19 @@ class TestFormatting:
     def test_rational_rendering(self):
         assert fmt_rational(Fraction(3, 8)) == "3/8"
         assert fmt_rational(Fraction(4)) == "4"
+
+    def test_rational_of_any_size(self):
+        # Past the interpreter's 4300-digit limit on int-to-str conversion.
+        text = fmt_rational(Fraction(-(10**5000), 3**10000))
+        numerator, denominator = text.split("/")
+        assert numerator == "-1" + "0" * 5000
+        assert _exact(text) == Fraction(-(10**5000), 3**10000)
+
+
+def _exact(text: str) -> Fraction:
+    """Parse p/q text of any size; Fraction(str) stops at 4300 digits."""
+    numerator, _, denominator = text.partition("/")
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
 
 
 class TestEvalAndTaut:
@@ -161,6 +175,16 @@ class TestBernoulliAndLln:
         assert Fraction(fields[2]) == exact
         assert fields[3] == "-" and fields[4] == "-"
 
+    def test_huge_exact_values_print_in_full(self):
+        report = run(["bernoulli", "--r", "100000", "--p", "1/3", "--k", "5"])
+        assert report.ok
+        assert _exact(report.lines[0].split()[1]) == point_prob(100_000, 5, Fraction(1, 3))
+        report = run(["lln", "--r", "20000", "--p", "1/3", "--eps", "1/20"])
+        assert report.ok
+        exact = range_prob(20_000, 20_000 * Fraction(17, 60), 20_000 * Fraction(23, 60),
+                           Fraction(1, 3))
+        assert _exact(report.lines[0].split()[2]) == exact
+
     def test_lln_with_trials_is_reproducible(self):
         args = ["lln", "--r", "50", "--p", "1/2", "--eps", "1/10",
                 "--trials", "80", "--seed", "42"]
@@ -212,6 +236,12 @@ class TestQnumCommands:
             == ["no"]
         assert run(["qnum", "lt", "const", "0", ",", "recip-n"]).lines \
             == ["yes"]
+
+    def test_named_sequences_equal_themselves(self):
+        # Decided from structure, with no sweep of the horizon.
+        assert run(["qnum", "eq", "lin", ",", "lin"]).lines == ["yes"]
+        assert run(["qnum", "eq", "recip-n", ",", "recip-n"]).lines == ["yes"]
+        assert run(["qnum", "lt", "lin", ",", "lin"]).lines == ["no"]
 
     def test_bad_descriptor(self):
         report = run(["qnum", "classify", "cubic"])

@@ -265,6 +265,13 @@ class TestClassification:
         assert q_classify(standard(5)).kind == "finite-appreciable"
         assert q_classify(standard(0)).kind == "infinitesimal"
 
+    def test_constant_polynomial_is_classified(self):
+        f = _random_seq(13)
+        assert q_classify(f - f, horizon=50).kind == "infinitesimal"
+        assert q_classify(f - f + 3, horizon=50).kind == "finite-appreciable"
+        assert q_classify((f - f).with_edits({2: F(9)}), horizon=50).kind == "infinitesimal"
+        assert q_classify(f + f - f, horizon=50).kind == "unknown"
+
     def test_unknown_carries_evidence(self):
         result = q_classify(_random_seq(10), horizon=64)
         assert result.kind == "unknown"

@@ -1,13 +1,16 @@
 """Independent test series: enumeration, disjunctions, exact probabilities,
 the tail bound, and the sampling harness."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_series
+from conftest import reference_series, reference_window_prob
 from plogic.errors import (
     EmptyRangeError,
     InvalidArgumentError,
@@ -259,6 +262,49 @@ class TestExactProbabilities:
             point_prob(10, k, Fraction(1, 5)) for k in (3, 4, 5))
 
 
+def _digest(q: Fraction) -> str:
+    return hashlib.sha256(f"{q.numerator:x}/{q.denominator:x}".encode()).hexdigest()
+
+
+# p = 0 and 1, and p whose numerator and denominator differ.
+_probabilities = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=40))
+
+
+class TestWindowKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_direct_sum(self, data):
+        # Every window of r <= 60, including empty and clamped ones.
+        r = data.draw(st.integers(1, 60))
+        a = data.draw(st.integers(-1, r + 1))
+        b = data.draw(st.integers(-1, r + 1))
+        p = data.draw(_probabilities)
+        assert range_prob(r, a, b, p) == reference_window_prob(r, a, b, p)
+        k = data.draw(st.integers(0, r))
+        assert point_prob(r, k, p) == reference_window_prob(r, k, k, p)
+
+    # Digests of hex numerator/denominator, computed with the term-by-term
+    # loop that the kernel replaced (the last one took 50 s there).
+    @pytest.mark.parametrize("r, k, l, p, digest", [
+        (100_000, 49_970, 50_030, Fraction(1, 2),
+         "31f8af972049acf5043d9d2375b7be4bbfdde4f2b7731d3648ad1e4b5e597176"),
+        (100_000, 33_303, 33_363, Fraction(1, 3),
+         "6abf5a6babf24cf4a6724b222a326ab4d398ee374066b038151a78f9cb6eef26"),
+        (100_000, 65_000, 75_000, Fraction(7, 10),
+         "cb774043d9c67fd2b0b134f603944363295640b0ce1b7a03598c52580988bfc5"),
+    ])
+    def test_large_windows_are_pinned(self, r, k, l, p, digest):
+        assert _digest(range_prob(r, k, l, p)) == digest
+
+    def test_large_points_are_pinned(self):
+        assert _digest(point_prob(100_000, 5, Fraction(1, 3))) == \
+            "c88e718d04b697d97ade89136c6914dd8632b9f90588c0fbe96e768b66705cee"
+        assert _digest(point_prob(100_000, 50_000, Fraction(1, 2))) == \
+            "22c28335b719bf459415c2d03cfd36e8cbca5fc034bf2ad9c28bae1db97073bd"
+
+
 class TestTailBound:
     def test_reference_value(self):
         assert lln_bound(100, HALF, Fraction(1, 10)) == Fraction(3, 4)
@@ -320,6 +366,11 @@ class TestValidation:
             point_prob(3, 1, Fraction(3, 2))
         with pytest.raises(InvalidArgumentError, match="outside"):
             point_prob(3, 1, -HALF)
+
+    def test_point_prob_checks_run_count(self):
+        for k in (-1, 4):
+            with pytest.raises(InvalidArgumentError, match=f"run count {k} outside 0..3"):
+                point_prob(3, k, HALF)
 
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
