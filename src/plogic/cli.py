@@ -22,12 +22,17 @@ from .synthesis import synthesize_proof
 
 
 def fmt_decimal(q: Fraction, digits: int = 12) -> str:
-    """Fixed-point rendering with round-half-even ties."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = max(60, digits + 30)
-        d = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
-        quantum = decimal.Decimal(1).scaleb(-digits)
-        return f"{d.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN):f}"
+    """Fixed-point rendering with round-half-even ties, from one integer
+    quotient; a negative value keeps its sign even when it rounds to 0."""
+    num, den = q.numerator, q.denominator
+    whole, rem = divmod(abs(num) * 10**digits, den)
+    if 2 * rem > den or (2 * rem == den and whole & 1):
+        whole += 1
+    sign = "-" if num < 0 else ""
+    if not digits:
+        return f"{sign}{whole}"
+    head, tail = divmod(whole, 10**digits)
+    return f"{sign}{head}.{tail:0{digits}d}"
 
 
 def fmt_rational(q: Fraction) -> str:
@@ -137,8 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except ValueError as exc:  # a NUL byte in the path, or text not UTF-8
+        raise PlogicError(f"cannot read {path!r}: {exc}") from None
 
 
 def _parse_index_set(words: list[str]) -> density.IndexSet:
@@ -184,6 +192,8 @@ def _split_specs(words: list[str]) -> tuple[list[str], list[str]]:
     if "," not in words:
         raise PlogicError("separate the two descriptors with a ','")
     i = words.index(",")
+    if i == 0 or i == len(words) - 1:
+        raise PlogicError("need a sequence descriptor on each side of ','")
     return words[:i], words[i + 1:]
 
 
@@ -195,7 +205,7 @@ def run(argv: list[str]) -> CommandReport:
     except SystemExit as exc:
         if exc.code == 0:  # --help
             return CommandReport("ok")
-        return CommandReport("error", ["bad arguments"])
+        return CommandReport("error", ["error: bad arguments"])
     try:
         return _dispatch(args)
     except PlogicError as exc:

@@ -126,16 +126,11 @@ class BFunction:
             if not 0 <= idx < size:
                 raise InvalidArgumentError(f"minterm index {idx} out of range for n={n}")
             masses[idx] = Fraction(w)
-        return _spread(n, masses, list(masses.values()))
-
-
-def _spread(n: int, idxs: Iterable[int], masses: Sequence[Fraction]) -> BFunction:
-    """Measure with ``masses`` at minterms ``idxs`` and zero elsewhere."""
-    weights = [0] * _size(n)
-    nums, denom = _over_lcm(masses)
-    for idx, w in zip(idxs, nums):
-        weights[idx] = w
-    return BFunction._of(n, _checked(weights, denom), denom)
+        weights = [0] * _size(n)
+        nums, denom = _over_lcm(list(masses.values()))
+        for idx, w in zip(masses, nums):
+            weights[idx] = w
+        return cls._of(n, _checked(weights, denom), denom)
 
 
 def from_valuation(v: Valuation) -> BFunction:
@@ -227,15 +222,19 @@ def classify_pair(bf: BFunction, a: Sentence, b: Sentence) -> PairRelation:
 
 def load_distribution(text: str | Iterable[str]) -> BFunction:
     """Parse the line-based distribution format, validating width,
-    duplicates, signs, and that the masses sum exactly to 1."""
+    duplicates, signs, and that the masses sum exactly to 1.
+
+    Dumped measures repeat few distinct masses, so each distinct mass
+    token is parsed and checked once, on its first (earliest) line; a
+    token that passed once cannot fail on a later line."""
     if isinstance(text, str):
         lines = text.splitlines()
     else:
         lines = list(text)
     n = None
-    seen = bytearray()  # one byte per minterm, set once it has a line
-    idxs: list[int] = []
-    masses: list[Fraction] = []
+    slots: dict[str, int] = {}  # mass token -> 1 + its index in masses
+    masses: list[Fraction] = []  # one per distinct token
+    at: list[int] = []  # per minterm: 0 if it has no line, else its slot
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
@@ -248,26 +247,30 @@ def load_distribution(text: str | Iterable[str]) -> BFunction:
             raise WidthMismatchError(f"line {lineno}: bad bitstring {bits!r}")
         if n is None:
             n = len(bits)
-            seen = bytearray(_size(n))
+            at = [0] * _size(n)
         elif len(bits) != n:
             raise WidthMismatchError(
                 f"line {lineno}: bitstring width {len(bits)} != {n}")
-        try:
-            mass = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise WidthMismatchError(
-                f"line {lineno}: bad rational {value!r}") from None
-        if mass.numerator < 0:
-            raise NegativeMassError(f"line {lineno}: negative mass {value}")
+        slot = slots.get(value)
+        if slot is None:
+            try:
+                mass = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise WidthMismatchError(
+                    f"line {lineno}: bad rational {value!r}") from None
+            if mass.numerator < 0:
+                raise NegativeMassError(f"line {lineno}: negative mass {value}")
+            masses.append(mass)
+            slot = slots[value] = len(masses)
         idx = int(bits, 2)
-        if seen[idx]:
+        if at[idx]:
             raise DuplicateMintermError(f"line {lineno}: duplicate minterm {bits}")
-        seen[idx] = 1
-        idxs.append(idx)
-        masses.append(mass)
+        at[idx] = slot
     if n is None:
         raise WidthMismatchError("distribution file has no minterm lines")
-    return _spread(n, idxs, masses)
+    nums, denom = _over_lcm(masses)
+    weights = list(map([0, *nums].__getitem__, at))
+    return BFunction._of(n, _checked(weights, denom), denom)
 
 
 def dump_distribution(bf: BFunction) -> str:

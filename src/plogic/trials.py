@@ -13,7 +13,6 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -302,14 +301,13 @@ def simulate_frequencies(
 ) -> list[Fraction]:
     """Sampled success frequencies for ``trials`` independent worlds.
 
-    Deterministic given the seed, and identical for any worker count: each
-    trial owns a private stream keyed by (seed, trial index).
+    Deterministic given the seed: each trial owns a private stream keyed
+    by (seed, trial index).  The trials run serially; ``workers`` is
+    accepted for compatibility and ignored, since a thread pool only
+    slowed this interpreter-bound loop down.
     """
     if trials < 1:
         raise InvalidArgumentError("need at least one trial")
     r = ts.r
     p = ts.p
-    if workers <= 1:
-        return [_trial_frequency(seed, i, r, p) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: _trial_frequency(seed, i, r, p), range(trials)))
+    return [_trial_frequency(seed, i, r, p) for i in range(trials)]

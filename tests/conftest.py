@@ -1,8 +1,8 @@
 """Shared generators for the test suite: random sentences, random exact
 measures, and exhaustive sentence corpora; an independent recursive
-evaluator, per-minterm mass sum, run-count series and binomial window sum;
-and an independent oracle for the derivability boundary of the proof
-kernel."""
+evaluator, per-minterm mass sum, distribution-file parser, run-count
+series and binomial window sum; and an independent oracle for the
+derivability boundary of the proof kernel."""
 
 from __future__ import annotations
 
@@ -157,6 +157,27 @@ def reference_mass(n: int, mass, s: Sentence) -> Fraction:
         if reference_value(s, bits):
             total += m
     return total
+
+
+def reference_load(text: str) -> tuple[int, list[Fraction]]:
+    """Width and per-minterm masses of a well-formed distribution file:
+    every line parsed on its own with ``Fraction``, independent of
+    plogic.measures' token memo.  Raises ValueError on a malformed file."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    n = len(rows[0][0])
+    mass = [Fraction(0)] * (1 << n)
+    seen = set()
+    for bits, token in rows:
+        if len(bits) != n or set(bits) - {"0", "1"} or bits in seen:
+            raise ValueError(f"bad minterm {bits!r}")
+        seen.add(bits)
+        value = Fraction(token)
+        if value < 0:
+            raise ValueError(f"negative mass {token!r}")
+        mass[int(bits, 2)] = value
+    if sum(mass) != 1:
+        raise ValueError("masses do not sum to 1")
+    return n, mass
 
 
 def falsifying_unit_assignments(s: Sentence) -> list[dict[str, int]]:

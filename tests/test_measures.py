@@ -14,6 +14,7 @@ from conftest import (
     random_bfunction,
     random_sentence,
     random_sparse_bfunction,
+    reference_load,
     reference_mass,
     reference_value,
 )
@@ -387,6 +388,34 @@ class TestDistributionErrorContract:
         assert bf.mass == (0, Fraction(3, 4), Fraction(1, 4), 0)
 
 
+class TestMassTokenMemo:
+    """Each distinct mass token is parsed once, on its first line; the
+    verdicts and line numbers are those of parsing every line."""
+
+    def test_repeated_negative_token_reports_its_first_line(self):
+        with pytest.raises(NegativeMassError) as err:
+            load_distribution("00 1/2\n01 -1/4\n10 -1/4\n11 1\n")
+        assert type(err.value) is NegativeMassError
+        assert str(err.value) == "line 2: negative mass -1/4"
+
+    def test_repeated_bad_rational_reports_its_first_line(self):
+        with pytest.raises(WidthMismatchError) as err:
+            load_distribution("00 1/2\n\n01 1/0\n10 1/0\n")
+        assert type(err.value) is WidthMismatchError
+        assert str(err.value) == "line 3: bad rational '1/0'"
+
+    def test_duplicate_with_a_seen_token_reports_the_duplicate(self):
+        with pytest.raises(DuplicateMintermError) as err:
+            load_distribution("0 1/2\n1 1/2\n0 1/2\n")
+        assert type(err.value) is DuplicateMintermError
+        assert str(err.value) == "line 3: duplicate minterm 0"
+
+    def test_equal_masses_spelled_differently_sum_exactly(self):
+        bf = load_distribution("00 1/4\n01 2/8\n10 0.25\n11 +1/4\n")
+        assert bf == BFunction.uniform(2)
+        assert (bf.weights, bf.denom) == ((1, 1, 1, 1), 4)
+
+
 class TestConstructionAndDomains:
     def test_masses_must_be_nonnegative(self):
         with pytest.raises(NegativeMassError):
@@ -563,3 +592,33 @@ def test_kernels_match_the_fraction_oracle(data):
                      for idx, m in enumerate(mass))
         assert condition(bf, c).mass == want
     assert load_distribution(dump_distribution(bf)) == bf
+
+
+def _spellings(q: Fraction) -> list[str]:
+    """Texts that Fraction reads as q: p/q, a scaled ka/kb, an integer,
+    a terminating decimal, each also with a leading '+'."""
+    out = [f"{q.numerator}/{q.denominator}", f"{3 * q.numerator}/{3 * q.denominator}"]
+    if q.denominator == 1:
+        out.append(str(q.numerator))
+    scaled = q * 10**6
+    if scaled.denominator == 1:
+        whole, frac = divmod(scaled.numerator, 10**6)
+        out.append(f"{whole}.{frac:06d}")
+    return out + ["+" + text for text in out]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_respelled_dumps_load_like_the_reference(data):
+    n, mass = data.draw(_measures())
+    lines = []
+    for line in dump_distribution(BFunction(n, mass)).splitlines():
+        bits, token = line.split()
+        lines.append(f"{bits} {data.draw(st.sampled_from(_spellings(Fraction(token))))}")
+    lines = data.draw(st.permutations(lines))
+    for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, data.draw(st.sampled_from(["", "  ", "\t"])))
+    text = "\n".join(lines) + "\n"
+    bf = load_distribution(text)
+    assert (bf.n, list(bf.mass)) == reference_load(text)
+    assert bf == BFunction(n, mass)
