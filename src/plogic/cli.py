@@ -66,8 +66,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a PlogicError, so that it takes the
+    one error path instead of printing usage to stderr and exiting."""
+
+    def error(self, message):
+        raise PlogicError(f"bad arguments: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plogic",
         description="Probability-valued propositional logic toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -199,15 +207,10 @@ def _split_specs(words: list[str]) -> tuple[list[str], list[str]]:
 
 def run(argv: list[str]) -> CommandReport:
     """Execute one command line; never raises for user errors."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 0:  # --help
-            return CommandReport("ok")
-        return CommandReport("error", ["error: bad arguments"])
-    try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
+    except SystemExit:  # only --help exits, after printing its text
+        return CommandReport("ok")
     except PlogicError as exc:
         return CommandReport("error", [f"error: {exc}"])
     except OSError as exc:

@@ -19,6 +19,13 @@ from .errors import InvalidArgumentError
 DEFAULT_HORIZON = 10_000
 
 
+def check_horizon(horizon: int) -> None:
+    """Every verdict that may report prefix evidence checks its horizon
+    first, before structure decides."""
+    if horizon < 1:
+        raise InvalidArgumentError("horizon must be at least 1")
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Three-valued answer; Unknown carries its prefix evidence."""
@@ -169,6 +176,7 @@ def filter_membership(a: IndexSet, horizon: int = DEFAULT_HORIZON) -> Verdict:
     Cofinite: yes.  Finite: no.  Eventually periodic: yes exactly when the
     period is all ones.  Opaque: unknown, with the horizon frequency.
     """
+    check_horizon(horizon)
     if isinstance(a, CofiniteSet):
         return YES
     if isinstance(a, FiniteSet):
@@ -217,7 +225,7 @@ def intersect(a: IndexSet, b: IndexSet) -> IndexSet:
     pb = _as_periodic(b)
     if pa is not None and pb is not None:
         pre = max(len(pa.preamble), len(pb.preamble))
-        period = _lcm(len(pa.period), len(pb.period))
+        period = math.lcm(len(pa.period), len(pb.period))
         preamble = tuple(pa.contains(i) and pb.contains(i) for i in range(1, pre + 1))
         cycle = tuple(
             pa.contains(i) and pb.contains(i)
@@ -225,10 +233,6 @@ def intersect(a: IndexSet, b: IndexSet) -> IndexSet:
         )
         return EventuallyPeriodicSet(preamble, cycle)
     return OpaqueSet(lambda n, _a=a, _b=b: _a.contains(n) and _b.contains(n))
-
-
-def _lcm(x: int, y: int) -> int:
-    return x * y // math.gcd(x, y)
 
 
 def from_predicate(predicate: Callable[[int], bool]) -> OpaqueSet:

@@ -1,25 +1,27 @@
 """Sequence numbers: lazy rational sequences compared through the
 density-one filter, with honest three-valued verdicts.
 
-A value stores one representative sequence plus whatever structure its
-construction declared -- a standard constant, a true limit, strict
-positivity, a polynomial over the underlying sequence leaves, finitely
-many edits against a base, or a periodic interleave.  Equality, order,
+A value stores one representative sequence plus what its construction
+declared: a polynomial over sequence leaves, a true limit, strict
+positivity, or a periodic interleave.  Every declaration holds at all
+but finitely many indices, so it is a statement about the number, not
+the representative: replacing finitely many terms keeps all of them.
+A value is standard when its polynomial is a constant.  Equality, order,
 invertibility and infinite closeness all read one structural comparison,
-the sign of x - y on a density-one index set; classification reads the
-declared standard, a constant polynomial and the limit.  Each degrades to
-Unknown with prefix evidence, never to a wrong yes or no.
+the sign of x - y on a density-one index set; classification reads a
+constant polynomial and the limit.  Each degrades to Unknown with prefix
+evidence, never to a wrong yes or no.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .density import DEFAULT_HORIZON, NO, YES, Verdict, unknown
+from .density import DEFAULT_HORIZON, NO, YES, Verdict, check_horizon, unknown
 from .errors import InvalidArgumentError, ReciprocalOfInfinitesimalOrZeroError
 
 
@@ -44,8 +46,14 @@ def _const_poly(c: Fraction) -> _Poly:
     return {(): c} if c else {}
 
 
-def _leaf_poly(leaf: int) -> _Poly:
-    return {((leaf, 1),): Fraction(1)}
+def _constant(p: _Poly) -> Fraction | None:
+    """The value of a constant polynomial, else None."""
+    return p.get((), Fraction(0)) if p.keys() <= {()} else None
+
+
+def _fresh_leaf() -> _Poly:
+    """A polynomial that is one new leaf: the value's own sequence."""
+    return {((next(_leaf_ids), 1),): Fraction(1)}
 
 
 def _poly_add(p: _Poly, q: _Poly) -> _Poly:
@@ -84,19 +92,23 @@ class QNumber:
     """One representative rational sequence with declared structure.
 
     ``seq`` must be a pure total map from positive indices to rationals.
-    ``standard`` asserts filter-agreement with a constant, ``limit`` a true
-    limit (INFINITE for divergence to +oo), ``strictly_positive`` that all
-    terms exceed zero.  The remaining descriptors record how the value was
-    built, for the verdict analyses.
+    Each descriptor holds at all but finitely many indices: ``poly`` gives
+    the terms as a polynomial over leaf sequences (by default a fresh
+    leaf, the value itself), ``limit`` is a true limit (INFINITE for
+    divergence to +oo), ``strictly_positive`` says the terms exceed zero,
+    and ``components`` are the slots of an interleave.
     """
 
     seq: Callable[[int], Fraction]
-    standard: Fraction | None = None
     limit: Fraction | _Infinite | None = None
     strictly_positive: bool = False
-    poly: Mapping | None = None
-    edit_base: "QNumber | None" = None
+    poly: Mapping = field(default_factory=_fresh_leaf)
     components: "tuple[QNumber, ...] | None" = None
+
+    @property
+    def standard(self) -> Fraction | None:
+        """The constant this value equals, when its polynomial is one."""
+        return _constant(self.poly)
 
     def term(self, n: int) -> Fraction:
         if n < 1:
@@ -127,26 +139,19 @@ class QNumber:
         return q_lift("add", _coerce(other), q_lift("negate", self))
 
     def with_edits(self, edits: Mapping[int, Fraction]) -> "QNumber":
-        """Same value with finitely many terms replaced; filter-level
-        structure survives because the change set is finite."""
+        """Same number with finitely many terms replaced; every descriptor
+        holds at all but finitely many indices, so each one carries over."""
         fixed = {int(k): Fraction(v) for k, v in edits.items()}
         if any(k < 1 for k in fixed):
             raise InvalidArgumentError("edit indices start at 1")
-        base = self
 
-        def seq(n, _b=base.seq, _f=fixed):
+        def seq(n, _b=self.seq, _f=fixed):
             got = _f.get(n)
             return got if got is not None else _b(n)
 
-        return QNumber(
-            seq,
-            standard=base.standard,
-            limit=base.limit,
-            strictly_positive=base.strictly_positive
-            and all(v > 0 for v in fixed.values()),
-            poly=None,
-            edit_base=_base(base),
-        )
+        return QNumber(seq, limit=self.limit,
+                       strictly_positive=self.strictly_positive,
+                       poly=self.poly, components=self.components)
 
 
 def _coerce(value) -> QNumber:
@@ -158,13 +163,8 @@ def _coerce(value) -> QNumber:
 def standard(a) -> QNumber:
     """The constant sequence at ``a``: a standard value."""
     a = Fraction(a)
-    return QNumber(
-        lambda n, _a=a: _a,
-        standard=a,
-        limit=a,
-        strictly_positive=a > 0,
-        poly=_const_poly(a),
-    )
+    return QNumber(lambda n, _a=a: _a, limit=a, strictly_positive=a > 0,
+                   poly=_const_poly(a))
 
 
 def from_function(
@@ -172,22 +172,18 @@ def from_function(
     limit: Fraction | _Infinite | None = None,
     strictly_positive: bool = False,
 ) -> QNumber:
-    """Wrap a pure sequence; the declared limit and sign are trusted by the
-    verdict analyses and must be true of ``f``."""
+    """Wrap a pure sequence as a new leaf.  The verdict analyses trust the
+    declared limit and sign; the sign need only hold at all but finitely
+    many indices."""
     if limit is not None and not isinstance(limit, _Infinite):
         limit = Fraction(limit)
-    return QNumber(
-        f,
-        limit=limit,
-        strictly_positive=strictly_positive,
-        poly=_leaf_poly(next(_leaf_ids)),
-    )
+    return QNumber(f, limit=limit, strictly_positive=strictly_positive)
 
 
 @functools.cache
 def harmonic() -> QNumber:
     """The sequence 1/n: positive everywhere, limit zero.  One shared
-    value, so two readings of it compare equal by identity."""
+    value, so two readings of it are one leaf and compare equal."""
     return from_function(lambda n: Fraction(1, n), limit=Fraction(0),
                          strictly_positive=True)
 
@@ -200,7 +196,9 @@ def ramp() -> QNumber:
 
 
 def cycle(components: Sequence[QNumber]) -> QNumber:
-    """Interleave: term n comes from component (n-1) mod len."""
+    """Interleave: term n comes from component (n-1) mod len.  Components
+    that share one polynomial give it to the interleave; otherwise the
+    interleave is a new leaf."""
     comps = tuple(components)
     if not comps:
         raise InvalidArgumentError("need at least one component")
@@ -209,20 +207,15 @@ def cycle(components: Sequence[QNumber]) -> QNumber:
     def seq(n, _c=comps, _s=size):
         return _c[(n - 1) % _s].seq(n)
 
-    same_standard = comps[0].standard
-    if any(c.standard != same_standard for c in comps):
-        same_standard = None
     same_limit = comps[0].limit
     if any(c.limit != same_limit for c in comps):
         same_limit = None
-    return QNumber(
-        seq,
-        standard=same_standard,
-        limit=same_limit,
-        strictly_positive=all(c.strictly_positive for c in comps),
-        poly=None,
-        components=comps,
-    )
+    poly = comps[0].poly
+    if any(c.poly != poly for c in comps):
+        poly = _fresh_leaf()
+    return QNumber(seq, limit=same_limit,
+                   strictly_positive=all(c.strictly_positive for c in comps),
+                   poly=poly, components=comps)
 
 
 # --- Lifted arithmetic ---------------------------------------------------------
@@ -232,8 +225,6 @@ def _lift_add(x: QNumber, y: QNumber) -> QNumber:
     def seq(n, _x=x.seq, _y=y.seq):
         return _x(n) + _y(n)
 
-    std = x.standard + y.standard if (
-        x.standard is not None and y.standard is not None) else None
     lx, ly = x.limit, y.limit
     limit: Fraction | _Infinite | None
     if lx is None or ly is None:
@@ -242,20 +233,15 @@ def _lift_add(x: QNumber, y: QNumber) -> QNumber:
         limit = INFINITE  # +oo plus a convergent, or +oo plus +oo
     else:
         limit = lx + ly
-    poly = None
-    if x.poly is not None and y.poly is not None:
-        poly = _poly_add(x.poly, y.poly)
-    return QNumber(seq, standard=std, limit=limit,
+    return QNumber(seq, limit=limit,
                    strictly_positive=x.strictly_positive and y.strictly_positive,
-                   poly=poly)
+                   poly=_poly_add(x.poly, y.poly))
 
 
 def _lift_mul(x: QNumber, y: QNumber) -> QNumber:
     def seq(n, _x=x.seq, _y=y.seq):
         return _x(n) * _y(n)
 
-    std = x.standard * y.standard if (
-        x.standard is not None and y.standard is not None) else None
     lx, ly = x.limit, y.limit
     limit: Fraction | _Infinite | None
     if lx is None or ly is None:
@@ -267,24 +253,19 @@ def _lift_mul(x: QNumber, y: QNumber) -> QNumber:
         limit = INFINITE if finite > 0 else None
     else:
         limit = lx * ly
-    poly = None
-    if x.poly is not None and y.poly is not None:
-        poly = _poly_mul(x.poly, y.poly)
-    return QNumber(seq, standard=std, limit=limit,
+    return QNumber(seq, limit=limit,
                    strictly_positive=x.strictly_positive and y.strictly_positive,
-                   poly=poly)
+                   poly=_poly_mul(x.poly, y.poly))
 
 
 def _lift_negate(x: QNumber) -> QNumber:
     def seq(n, _x=x.seq):
         return -_x(n)
 
-    std = -x.standard if x.standard is not None else None
     limit = None
     if x.limit is not None and not isinstance(x.limit, _Infinite):
         limit = -x.limit
-    poly = _poly_neg(x.poly) if x.poly is not None else None
-    return QNumber(seq, standard=std, limit=limit, poly=poly)
+    return QNumber(seq, limit=limit, poly=_poly_neg(x.poly))
 
 
 def _lift_reciprocal(x: QNumber) -> QNumber:
@@ -297,7 +278,6 @@ def _lift_reciprocal(x: QNumber) -> QNumber:
         v = _x(n)
         return Fraction(0) if v == 0 else 1 / v  # zero set is filter-negligible
 
-    std = 1 / x.standard if x.standard not in (None, 0) else None
     limit: Fraction | _Infinite | None = None
     if isinstance(x.limit, _Infinite):
         limit = Fraction(0)
@@ -305,8 +285,10 @@ def _lift_reciprocal(x: QNumber) -> QNumber:
         limit = 1 / x.limit
     elif x.limit == 0 and x.strictly_positive:
         limit = INFINITE
-    return QNumber(seq, standard=std, limit=limit,
-                   strictly_positive=x.strictly_positive)
+    std = x.standard  # never zero: invertible said yes
+    poly = _fresh_leaf() if std is None else _const_poly(1 / std)
+    return QNumber(seq, limit=limit, strictly_positive=x.strictly_positive,
+                   poly=poly)
 
 
 _LIFTS = {
@@ -322,9 +304,9 @@ _LIFTS = {
 
 
 def q_lift(op: str, *args) -> QNumber:
-    """Pointwise lift of a named rational operation; standard tags and
-    declared structure propagate where sound.  Plain rationals coerce to
-    their standard values."""
+    """Pointwise lift of a named rational operation; declared structure
+    propagates where sound.  Plain rationals coerce to their standard
+    values."""
     try:
         fn, arity = _LIFTS[op]
     except KeyError:
@@ -341,39 +323,23 @@ def reciprocal(x: QNumber) -> QNumber:
 # --- Verdicts -------------------------------------------------------------------
 
 
-def _base(x: QNumber) -> QNumber:
-    return x.edit_base or x
-
-
 def _sign(v: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
 def _gap(x: QNumber, y: QNumber) -> Fraction | None:
-    """The constant c with x_n - y_n = c at every index, when the two
-    polynomials differ by a constant."""
-    if x.poly is None or y.poly is None:
-        return None
-    d = _poly_add(x.poly, _poly_neg(y.poly))
-    if d.keys() <= {()}:
-        return d.get((), Fraction(0))
-    return None
+    """The constant c with x_n - y_n = c at all but finitely many
+    indices, when the two polynomials differ by a constant."""
+    return _constant(_poly_add(x.poly, _poly_neg(y.poly)))
 
 
 def _order(x: QNumber, y: QNumber) -> int | None:
     """Sign of x - y on a density-one index set (-1, 0 or 1) when the
-    declared structure decides it, else None.  Finitely many edits are
-    invisible to the filter, so both sides are read through them."""
-    x, y = _base(x), _base(y)
-    if x is y:
-        return 0
+    declared structure decides it, else None.  Every descriptor holds at
+    all but finitely many indices, a set of density one."""
     gap = _gap(x, y)
     if gap is not None:
         return _sign(gap)
-    if x.standard is not None and y.standard is not None:
-        # Each standard pins its sequence on a filter set; on the
-        # intersection the terms are the two constants.
-        return _sign(x.standard - y.standard)
     if x.standard is not None and x.standard <= 0 and y.strictly_positive:
         return -1
     if y.standard is not None and y.standard <= 0 and x.strictly_positive:
@@ -391,11 +357,6 @@ def _sweep(horizon: int, hit: Callable[[int], bool]) -> Verdict:
     """Unknown, with the share of indices 1..horizon where ``hit`` holds."""
     count = sum(1 for n in range(1, horizon + 1) if hit(n))
     return unknown(horizon, Fraction(count, horizon))
-
-
-def _check_horizon(horizon: int) -> None:
-    if horizon < 1:
-        raise InvalidArgumentError("horizon must be at least 1")
 
 
 def invertible(x: QNumber) -> Verdict:
@@ -416,7 +377,7 @@ def _equal_by_structure(x: QNumber, y: QNumber) -> Verdict | None:
     order = _order(x, y)
     if order is not None:
         return NO if order else YES
-    orders = [_order(a, b) for a, b in _cycle_slots(_base(x), _base(y))]
+    orders = [_order(a, b) for a, b in _cycle_slots(x, y)]
     if not orders or None in orders:
         return None
     return NO if any(orders) else YES
@@ -438,7 +399,7 @@ def _cycle_slots(x: QNumber, y: QNumber) -> list[tuple[QNumber, QNumber]]:
 
 def q_equal(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Do the sequences agree on a density-one index set?"""
-    _check_horizon(horizon)
+    check_horizon(horizon)
     verdict = _equal_by_structure(x, y)
     if verdict is not None:
         return verdict
@@ -447,7 +408,7 @@ def q_equal(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
 
 def q_less(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Is x_n < y_n on a density-one index set?"""
-    _check_horizon(horizon)
+    check_horizon(horizon)
     order = _order(x, y)
     if order is not None:
         return YES if order < 0 else NO
@@ -472,14 +433,12 @@ def q_classify(x: QNumber, horizon: int = DEFAULT_HORIZON) -> Classification:
     """Infinitesimal: below every positive bound through the filter (the
     zero standard counts).  Infinite: above every natural bound.  Standard
     or convergent elsewhere: finite-appreciable."""
-    _check_horizon(horizon)
-    base = _base(x)
-    # A standard, or a polynomial that is a constant, pins the value.
-    value = base.standard if base.standard is not None else _gap(base, standard(0))
+    check_horizon(horizon)
+    value = x.standard
     if value is not None:
         return Classification("infinitesimal" if value == 0
                               else "finite-appreciable")
-    limit = base.limit
+    limit = x.limit
     if isinstance(limit, _Infinite):
         return Classification("infinite")
     if limit is not None:
@@ -492,13 +451,12 @@ def infinitely_close(x: QNumber, y: QNumber,
                      horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Is |x - y| zero or infinitesimal?  Never sweeps: Unknown carries
     |x_h - y_h| at the horizon."""
-    _check_horizon(horizon)
+    check_horizon(horizon)
     if _equal_by_structure(x, y) is YES:
         return YES
-    bx, by = _base(x), _base(y)
-    if _gap(bx, by) is not None:
+    if _gap(x, y) is not None:
         return NO  # a constant gap; a zero gap was equality above
-    lx, ly = bx.limit, by.limit
+    lx, ly = x.limit, y.limit
     if lx is not None and ly is not None and not (
             isinstance(lx, _Infinite) and isinstance(ly, _Infinite)):
         return YES if lx == ly else NO

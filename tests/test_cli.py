@@ -286,6 +286,8 @@ class TestArgumentErrors:
         ["qnum", "eq", "--horizon", "0", "const", "1", ",", "const", "1"],
         ["bernoulli", "--r", "3", "--p", "2"],
         ["bernoulli", "--r", "-1", "--p", "1/2"],
+        ["qnum", "filter", "all", "--horizon", "0"],
+        ["qnum", "filter", "none", "--horizon", "-5"],
     ])
     def test_one_error_line(self, argv, capsys):
         assert main(argv) == 1
@@ -294,3 +296,10 @@ class TestArgumentErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert "Traceback" not in captured.out + captured.err
+
+    def test_bad_argument_is_named_on_the_error_line(self, capsys):
+        assert main(["bernoulli", "--r", "x", "--p", "1/2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "error: bad arguments: argument --r: invalid int value: 'x'"]

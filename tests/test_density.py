@@ -19,6 +19,7 @@ from plogic.density import (
     naturals,
     part_frequency,
 )
+from plogic.errors import InvalidArgumentError
 
 
 def _random_index_set(rng):
@@ -157,6 +158,12 @@ class TestSetAlgebra:
         b = EventuallyPeriodicSet((), (True, False, True))
         assert not isinstance(intersect(a, b), OpaqueSet)
         assert not isinstance(complement(b), OpaqueSet)
+
+    def test_horizon_is_checked_for_every_class(self):
+        for index_set in (naturals(), empty_set(), evens(),
+                          from_predicate(lambda n: True)):
+            with pytest.raises(InvalidArgumentError):
+                filter_membership(index_set, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

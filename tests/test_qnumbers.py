@@ -343,6 +343,26 @@ class TestStructuralOrder:
         assert sorted(reads) == [("x", 10_000), ("y", 10_000)]
 
 
+class TestDescriptorsSurviveEdits:
+    """Each descriptor holds at all but finitely many indices, so edits
+    and interleaves of one polynomial keep what the structure decides."""
+
+    f = from_function(lambda n: F(n % 5, 3))
+
+    def test_edited_leaf_cancels(self):
+        assert q_equal(self.f.with_edits({1: 7}) - self.f, standard(0)).is_yes
+
+    def test_reciprocal_is_a_leaf(self):
+        r = reciprocal(ramp())
+        assert q_equal(r - r, standard(0)).is_yes
+
+    def test_interleave_of_one_polynomial_keeps_it(self):
+        assert q_equal(cycle([self.f, self.f]) + 1, self.f + 1).is_yes
+
+    def test_positivity_survives_a_negative_edit(self):
+        assert q_less(standard(0), harmonic().with_edits({3: -1}) * 2).is_yes
+
+
 # Shared leaves, so that expressions can cancel and compare structurally.
 _LEAVES = [harmonic(), ramp(), _random_seq(21), _random_seq(22)]
 _small = st.builds(F, st.integers(-3, 3), st.integers(1, 3))

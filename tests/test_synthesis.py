@@ -1,6 +1,8 @@
 """Proof synthesis: round-trips, soundness, and the derivability boundary."""
 
+import functools
 import random
+import re
 
 import pytest
 
@@ -17,6 +19,7 @@ from plogic.formulas import (
 )
 from plogic.proofs import Hypothesis, check_deduction
 from plogic.synthesis import (
+    MAX_SWEEP_VARS,
     is_derivable,
     opaque_skeleton,
     substitute_atoms,
@@ -102,6 +105,22 @@ class TestRefusals:
         assert is_tautology(goal)
         with pytest.raises(TooManyAtomsError):
             synthesize_proof(goal)
+
+    def test_sweep_cap(self):
+        # Distinct opaque conjunctions over three atoms: each one is a unit
+        # of its own, and each unit doubles the case sweep.
+        units = [And(A, B), And(B, A), And(A, C), And(C, A), And(B, C),
+                 And(C, B), And(A, A), And(B, B), And(C, C), And(And(A, B), C)]
+
+        def goal(k):
+            return functools.reduce(Or, [units[0], Not(units[0]), *units[1:k]])
+
+        assert MAX_SWEEP_VARS == 9
+        _round_trip(goal(9))
+        assert is_derivable(goal(10))
+        with pytest.raises(TooManyAtomsError, match=re.escape(
+                "synthesis would sweep 2^10 cases; the cap is 2^9")):
+            synthesize_proof(goal(10))
 
     def test_opaque_conjunction_tautology_is_refused(self):
         goal = Implies(And(A, B), A)
