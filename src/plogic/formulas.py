@@ -390,16 +390,3 @@ def all_valuations(n: int) -> Iterable[Valuation]:
     for idx in range(1 << n):
         yield Valuation.of_minterm(n, idx)
 
-
-def basic_set(names: Iterable[str]) -> tuple[Atom, ...]:
-    """Build a basic set from unique names; ids follow listing order."""
-    atoms = []
-    seen = set()
-    for i, name in enumerate(names):
-        if name in seen:
-            raise InvalidArgumentError(f"duplicate atom name {name!r}")
-        seen.add(name)
-        atoms.append(Atom(i, name))
-    if len(atoms) > MAX_ATOMS:
-        raise TooManyAtomsError(f"basic set of {len(atoms)} exceeds {MAX_ATOMS}")
-    return tuple(atoms)

@@ -109,8 +109,10 @@ class BFunction:
     @property
     def mass(self) -> tuple[Fraction, ...]:
         """Per-minterm masses as fractions; built afresh on each read, in
-        O(2^n)."""
-        return tuple(map(Fraction, self.weights, repeat(self.denom)))
+        O(2^n), with one ``Fraction`` per distinct weight."""
+        denom = self.denom
+        table = {w: Fraction(w, denom) for w in set(self.weights)}
+        return tuple(map(table.__getitem__, self.weights))
 
     @classmethod
     def uniform(cls, n: int) -> "BFunction":
@@ -274,11 +276,13 @@ def load_distribution(text: str | Iterable[str]) -> BFunction:
 
 
 def dump_distribution(bf: BFunction) -> str:
-    """Render the nonzero minterms in the distribution file format."""
+    """Render the nonzero minterms in the distribution file format; the
+    mass text of each distinct weight is formatted once."""
     n, weights, denom = bf.n, bf.weights, bf.denom
-    out = []
-    for idx in compress(range(len(weights)), weights):
-        w = weights[idx]
+    tail = {}
+    for w in set(weights):
         common = gcd(w, denom)
-        out.append(f"{idx:0{n}b} {w // common}/{denom // common}")
+        tail[w] = f" {w // common}/{denom // common}"
+    out = [f"{idx:0{n}b}{tail[weights[idx]]}"
+           for idx in compress(range(len(weights)), weights)]
     return "\n".join(out) + "\n"

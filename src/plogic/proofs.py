@@ -13,7 +13,7 @@ from typing import Mapping, Union
 
 from .errors import ProofFormatError
 from .formulas import AtomRef, Implies, Not, Sentence, as_implication
-from .parsing import Atom, format_sentence, parse_formula
+from .parsing import Atom, _parse, format_sentence
 
 
 # --- Schemata ---------------------------------------------------------------
@@ -208,8 +208,13 @@ def format_proof(d: Deduction) -> str:
 
 def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deduction:
     """Parse proof text; hypothesis sentences are reconstructed from the
-    ``hyp <k>`` lines, which must agree and use dense indices."""
+    ``hyp <k>`` lines, which must agree and use dense indices.
+
+    Every line reprints earlier formulas, so the lines share one group
+    table: each distinct parenthesized group is parsed once per proof, and
+    its repeats are one shared node."""
     table = atom_table if atom_table is not None else {}
+    groups: dict = {}
     lines: list[tuple[Sentence, Justification]] = []
     hyp_sentences: dict[int, Sentence] = {}
     count = 0
@@ -223,7 +228,7 @@ def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deducti
         if int(m.group("num")) != count:
             raise ProofFormatError(
                 f"expected line number {count}, found {m.group('num')}", lineno)
-        sentence = parse_formula(m.group("formula"), table).ast
+        sentence = _parse(m.group("formula"), table, groups)
         if m.group("schema"):
             just: Justification = Axiom(m.group("schema"))
         elif m.group("hyp"):

@@ -335,6 +335,10 @@ class TestDistributionFiles:
         for _ in range(20):
             bf = random_sparse_bfunction(rng, 3)
             assert load_distribution(dump_distribution(bf)) == bf
+        # Every weight distinct, and one weight on every minterm.
+        for bf in (BFunction(4, [Fraction(j + 1, 136) for j in range(16)]),
+                   BFunction.uniform(4)):
+            assert load_distribution(dump_distribution(bf)) == bf
 
 
 class TestDistributionErrorContract:
@@ -547,17 +551,27 @@ SENTENCES = {n: _sentences(n) for n in range(1, 7)}
 @st.composite
 def _measures(draw):
     """Width n <= 6 and exact masses with unlike denominators; dense
-    (every minterm positive) or sparse (most minterms zero)."""
+    (every minterm positive), sparse (most minterms zero), every mass
+    distinct, or one mass repeated on every minterm but one."""
     n = draw(st.integers(1, 6))
     size = 1 << n
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("dense", "sparse", "distinct", "repeated")))
+    if kind == "dense":
         nums = draw(st.lists(st.integers(1, 40), min_size=size, max_size=size))
-    else:
+    elif kind == "sparse":
         nums = draw(st.lists(st.sampled_from((0, 0, 0, 1, 7, 1000)),
                              min_size=size, max_size=size))
         if not any(nums):
             nums[draw(st.integers(0, size - 1))] = 1
-    dens = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    elif kind == "distinct":
+        nums = draw(st.permutations(range(1, size + 1)))
+    else:
+        nums = [draw(st.integers(1, 5))] * size
+        nums[draw(st.integers(0, size - 1))] = draw(st.integers(0, 40))
+    if kind == "distinct":  # one denominator keeps the masses distinct
+        dens = [draw(st.integers(1, 12))] * size
+    else:
+        dens = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
     raw = [Fraction(a, b) for a, b in zip(nums, dens)]
     total = sum(raw)
     return n, tuple(m / total for m in raw)

@@ -79,12 +79,31 @@ class TestErrors:
         ("!(A", 4, "expected ')'"),
         ("(A B)", 4, "expected ')'"),
         ("A -> ", 6, "expected an atom, '!', or '('"),
+        # Errors after a group that was already parsed once.
+        ("(A -> B) (A -> B)", 10, "unexpected '('"),
+        ("(A & B) | (A & B))", 18, "unexpected ')'"),
+        ("!(A -> B) -> (A -> B", 21, "expected ')'"),
+        ("(A -> B) | ((A -> B) B)", 22, "expected ')'"),
+        ("((A)) -> ((A)) -> (A) ->", 25, "expected an atom, '!', or '('"),
     ])
     def test_which_error_is_reported(self, text, column, message):
         with pytest.raises(FormulaSyntaxError) as err:
             parse_formula(text)
         assert err.value.column == column
         assert str(err.value) == f"{message} (column {column})"
+
+
+class TestSharing:
+    """A repeated parenthesized group is parsed once, into one node."""
+
+    def test_repeated_group_is_one_node(self):
+        tree = parse_formula("(A & B) | (A & B)").ast
+        # A | B is the tree not(not A and not B).
+        assert tree.child.left.child is tree.child.right.child
+        assert tree == Or(And(A, B), And(A, B))
+
+    def test_groups_last_one_call(self):
+        assert parse_formula("(A & B)").ast is not parse_formula("(A & B)").ast
 
 
 class TestFormatter:

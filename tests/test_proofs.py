@@ -3,8 +3,9 @@
 import pytest
 
 from conftest import make_atoms
-from plogic.errors import ProofFormatError
-from plogic.formulas import And, Implies, Not, is_tautology
+from plogic.errors import FormulaSyntaxError, ProofFormatError
+from plogic.formulas import And, AtomRef, Implies, Not, is_tautology
+from plogic.parsing import parse_formula
 from plogic.proofs import (
     Axiom,
     Deduction,
@@ -17,6 +18,7 @@ from plogic.proofs import (
     match_schema,
     parse_proof,
 )
+from plogic.synthesis import synthesize_proof
 
 A, B, C = make_atoms("ABC")
 
@@ -197,3 +199,29 @@ class TestProofText:
     def test_blank_lines_ignored(self):
         d = parse_proof("\n1. A ; hyp 0\n\n")
         assert d.goal == parse_proof("1. A ; hyp 0\n").goal
+
+    def test_error_after_a_reused_group(self):
+        text = ("1. (A -> B) -> (A -> B) ; axiom A1\n"
+                "2. (A -> B) (A -> B) ; mp 1 1\n")
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_proof(text)
+        assert str(err.value) == "unexpected '(' (column 10)"
+
+    def test_lines_share_repeated_groups(self):
+        goal = parse_formula("(A -> B) -> (!B -> !A)").ast
+        d = parse_proof(format_proof(synthesize_proof(goal)))
+        earlier = {}  # id -> interior node of an earlier line
+        reused = 0
+        for sentence, _ in d.lines:
+            nodes = {}
+            stack = [sentence]
+            while stack:
+                node = stack.pop()
+                if type(node) is AtomRef or id(node) in nodes:
+                    continue
+                nodes[id(node)] = node
+                stack.extend([node.child] if type(node) is Not
+                             else [node.left, node.right])
+            reused += any(key in earlier for key in nodes)
+            earlier.update(nodes)
+        assert reused > 0
