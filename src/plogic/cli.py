@@ -11,14 +11,47 @@ import decimal
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import import_module
 
-from . import classical as classical_mod
-from . import density, measures, qnumbers, trials
 from .errors import PlogicError
-from .formulas import Valuation, evaluate, is_tautology
-from .parsing import format_sentence, parse_formula
-from .proofs import check_deduction, format_proof, parse_proof
-from .synthesis import synthesize_proof
+
+#: The library names the commands call, each mapped to its name in the
+#: package, which imports it from its submodule on first use.  So a command
+#: loads only the modules on its own path, and a value set on this module
+#: in place of one of these names is the one the commands call.
+_LIBRARY = {
+    "classical_mod": "classical",
+    "density": "density",
+    "measures": "measures",
+    "qnumbers": "qnumbers",
+    "trials": "trials",
+    "parse_formula": "parse_formula",
+    "format_sentence": "format_sentence",
+    "evaluate": "evaluate",
+    "is_tautology": "is_tautology",
+    "Valuation": "Valuation",
+    "check_deduction": "check_deduction",
+    "format_proof": "format_proof",
+    "parse_proof": "parse_proof",
+    "synthesize_proof": "synthesize_proof",
+}
+
+
+def __getattr__(name):
+    try:
+        exported = _LIBRARY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(__package__), exported)
+    globals()[name] = value
+    return value
+
+
+def _lib(name):
+    """The library value ``name``: the module global when it is set, and
+    imported through ``__getattr__`` otherwise."""
+    namespace = globals()
+    return namespace[name] if name in namespace else __getattr__(name)
 
 
 def fmt_decimal(q: Fraction, digits: int = 12) -> str:
@@ -127,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("set", nargs="+",
                    help="periodic <bits> | finite <i,j,...> | cofinite <i,j,...> "
                         "| all | none")
-    c.add_argument("--horizon", type=int, default=density.DEFAULT_HORIZON)
+    c.add_argument("--horizon", type=int, default=None)
 
     c = qsub.add_parser("freq", help="part-set frequency at n")
     c.add_argument("set", nargs="+")
@@ -135,15 +168,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = qsub.add_parser("classify", help="size class of a sequence")
     c.add_argument("seq", nargs="+", help="const <p/q> | recip-n | lin")
-    c.add_argument("--horizon", type=int, default=density.DEFAULT_HORIZON)
+    c.add_argument("--horizon", type=int, default=None)
 
     c = qsub.add_parser("eq", help="filter equality of two sequences")
-    c.add_argument("--horizon", type=int, default=density.DEFAULT_HORIZON)
+    c.add_argument("--horizon", type=int, default=None)
     c.add_argument("specs", nargs="+",
                    help="two sequence descriptors, comma separated")
 
     c = qsub.add_parser("lt", help="filter strict order of two sequences")
-    c.add_argument("--horizon", type=int, default=density.DEFAULT_HORIZON)
+    c.add_argument("--horizon", type=int, default=None)
     c.add_argument("specs", nargs="+")
 
     return parser
@@ -158,6 +191,7 @@ def _load_text(path: str) -> str:
 
 
 def _parse_index_set(words: list[str]) -> density.IndexSet:
+    density = _lib("density")
     kind = words[0]
     if kind == "all":
         return density.naturals()
@@ -181,6 +215,7 @@ def _parse_index_set(words: list[str]) -> density.IndexSet:
 
 
 def _parse_seq(words: list[str]) -> qnumbers.QNumber:
+    qnumbers = _lib("qnumbers")
     kind = words[0]
     if kind == "const":
         if len(words) != 2:
@@ -225,34 +260,34 @@ def _dispatch(args) -> CommandReport:
     cmd = args.command
 
     if cmd == "eval":
-        parsed = parse_formula(args.formula)
-        world = Valuation.from_string(args.world)
+        parsed = _lib("parse_formula")(args.formula)
+        world = _lib("Valuation").from_string(args.world)
         if world.n != len(parsed.atom_table):
             return CommandReport("error", [
                 f"error: world has {world.n} bits for "
                 f"{len(parsed.atom_table)} atoms"])
-        value = evaluate(parsed.ast, world)
+        value = _lib("evaluate")(parsed.ast, world)
         return CommandReport("ok", [f"value: {value}"])
 
     if cmd == "taut":
-        parsed = parse_formula(args.formula)
-        answer = "yes" if is_tautology(parsed.ast) else "no"
+        parsed = _lib("parse_formula")(args.formula)
+        answer = "yes" if _lib("is_tautology")(parsed.ast) else "no"
         return CommandReport("ok", [f"tautology: {answer}"])
 
     if cmd == "prove":
-        parsed = parse_formula(args.formula)
-        deduction = synthesize_proof(parsed.ast)
-        report = check_deduction(deduction)
+        parsed = _lib("parse_formula")(args.formula)
+        deduction = _lib("synthesize_proof")(parsed.ast)
+        report = _lib("check_deduction")(deduction)
         assert report.ok
-        return CommandReport("ok", format_proof(deduction).splitlines())
+        return CommandReport("ok", _lib("format_proof")(deduction).splitlines())
 
     if cmd == "check":
-        deduction = parse_proof(_load_text(args.prooffile))
-        report = check_deduction(deduction)
+        deduction = _lib("parse_proof")(_load_text(args.prooffile))
+        report = _lib("check_deduction")(deduction)
         if report.ok:
             return CommandReport("ok", [
                 "accepted",
-                f"goal: {format_sentence(deduction.goal)}",
+                f"goal: {_lib('format_sentence')(deduction.goal)}",
                 f"lines: {len(deduction.lines)}",
                 f"hypotheses: {len(deduction.hypotheses)}"])
         where = f"line {report.line}: " if report.line is not None else ""
@@ -260,12 +295,14 @@ def _dispatch(args) -> CommandReport:
             f"rejected: {where}{report.code}: {report.message}"])
 
     if cmd == "prob":
+        measures = _lib("measures")
         bf = measures.load_distribution(_load_text(args.dist))
-        parsed = parse_formula(args.formula)
+        parsed = _lib("parse_formula")(args.formula)
         value = measures.b_eval(bf, parsed.ast)
         return CommandReport("ok", [fmt_number(value)])
 
     if cmd == "cond":
+        measures, parse_formula = _lib("measures"), _lib("parse_formula")
         bf = measures.load_distribution(_load_text(args.dist))
         table: dict = {}
         b = parse_formula(args.b, table).ast
@@ -280,6 +317,7 @@ def _dispatch(args) -> CommandReport:
             return CommandReport("error", ["error: r must be at least 1"])
         if args.k is not None and not 0 <= args.k <= r:
             return CommandReport("error", [f"error: k outside 0..{r}"])
+        trials = _lib("trials")
         lines = []
         for k in ks:
             value = trials.point_prob(r, k, args.p)
@@ -287,6 +325,7 @@ def _dispatch(args) -> CommandReport:
         return CommandReport("ok", lines)
 
     if cmd == "lln":
+        trials = _lib("trials")
         bound = trials.lln_bound(args.r, args.p, args.eps)
         exact = trials.range_prob(
             args.r, args.r * (args.p - args.eps), args.r * (args.p + args.eps),
@@ -305,35 +344,39 @@ def _dispatch(args) -> CommandReport:
             f"{coverage} {trial_text} {args.seed}"])
 
     if cmd == "classical":
+        parse_formula = _lib("parse_formula")
         table: dict = {}
         members = []
         for raw in _load_text(args.set_file).splitlines():
             if raw.strip():
                 members.append(parse_formula(raw.strip(), table).ast)
         event = parse_formula(args.event, table).ast
-        value = classical_mod.classical_probability(event, members)
+        value = _lib("classical_mod").classical_probability(event, members)
         favorable = int(value * len(members))
         return CommandReport("ok", [
             f"{favorable} {len(members)} {fmt_rational(value)}"])
 
-    # qnum subcommands
+    # qnum subcommands; an omitted --horizon is resolved here, so that
+    # building the parser imports no library module
     qcmd = args.qcommand
-    if qcmd == "filter":
-        verdict = density.filter_membership(
-            _parse_index_set(args.set), args.horizon)
-        return CommandReport("ok", [str(verdict)])
+    density = _lib("density")
     if qcmd == "freq":
         value = density.part_frequency(_parse_index_set(args.set), args.n)
         return CommandReport("ok", [fmt_number(value)])
+    horizon = density.DEFAULT_HORIZON if args.horizon is None else args.horizon
+    if qcmd == "filter":
+        verdict = density.filter_membership(_parse_index_set(args.set), horizon)
+        return CommandReport("ok", [str(verdict)])
+    qnumbers = _lib("qnumbers")
     if qcmd == "classify":
-        result = qnumbers.q_classify(_parse_seq(args.seq), args.horizon)
+        result = qnumbers.q_classify(_parse_seq(args.seq), horizon)
         return CommandReport("ok", [str(result)])
     if qcmd in ("eq", "lt"):
         left, right = _split_specs(args.specs)
         x = _parse_seq(left)
         y = _parse_seq(right)
         fn = qnumbers.q_equal if qcmd == "eq" else qnumbers.q_less
-        return CommandReport("ok", [str(fn(x, y, args.horizon))])
+        return CommandReport("ok", [str(fn(x, y, horizon))])
 
     raise AssertionError(f"unhandled command {cmd}")
 

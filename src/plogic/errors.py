@@ -44,11 +44,15 @@ class ProofFormatError(PlogicError):
 
 
 class FormulaSyntaxError(PlogicError):
-    """Formula text failed to parse; ``column`` is 1-based."""
+    """Formula text failed to parse; ``column`` is 1-based, and so is
+    ``line``, the proof line the formula came from (None outside a proof)."""
 
-    def __init__(self, message, column):
-        super().__init__(f"{message} (column {column})")
+    def __init__(self, message, column, line=None):
+        text = f"{message} (column {column})"
+        super().__init__(text if line is None else f"line {line}: {text}")
+        self.message = message
         self.column = column
+        self.line = line
 
 
 class ZeroConditionError(PlogicError):

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import ProofFormatError
+from .errors import FormulaSyntaxError, ProofFormatError
 from .formulas import AtomRef, Implies, Not, Sentence, as_implication
 from .parsing import Atom, _parse, format_sentence
 
@@ -228,7 +228,10 @@ def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deducti
         if int(m.group("num")) != count:
             raise ProofFormatError(
                 f"expected line number {count}, found {m.group('num')}", lineno)
-        sentence = _parse(m.group("formula"), table, groups)
+        try:
+            sentence = _parse(m.group("formula"), table, groups)
+        except FormulaSyntaxError as exc:
+            raise FormulaSyntaxError(exc.message, exc.column, lineno) from None
         if m.group("schema"):
             just: Justification = Axiom(m.group("schema"))
         elif m.group("hyp"):

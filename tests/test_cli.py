@@ -107,6 +107,15 @@ class TestProveAndCheck:
         assert not report.ok
         assert "NotAxiomInstance" in report.lines[0]
 
+    def test_check_names_the_line_of_a_syntax_error(self, tmp_path):
+        proof_file = tmp_path / "bad.txt"
+        proof_file.write_text("1. (A -> B) -> (A -> B) ; axiom A1\n"
+                              "2. (A -> B) (A -> B) ; mp 1 1\n")
+        report = run(["check", str(proof_file)])
+        assert not report.ok
+        assert report.lines == ["error: line 2: unexpected '(' (column 10)"]
+        assert main(["check", str(proof_file)]) == 1
+
     def test_missing_file(self):
         report = run(["check", "/nonexistent/proof.txt"])
         assert not report.ok

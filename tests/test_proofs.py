@@ -205,7 +205,8 @@ class TestProofText:
                 "2. (A -> B) (A -> B) ; mp 1 1\n")
         with pytest.raises(FormulaSyntaxError) as err:
             parse_proof(text)
-        assert str(err.value) == "unexpected '(' (column 10)"
+        assert str(err.value) == "line 2: unexpected '(' (column 10)"
+        assert (err.value.line, err.value.column) == (2, 10)
 
     def test_lines_share_repeated_groups(self):
         goal = parse_formula("(A -> B) -> (!B -> !A)").ast
