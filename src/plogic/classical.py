@@ -18,7 +18,7 @@ from .errors import (
     NotCompleteError,
     UnsatisfiableMemberError,
 )
-from .formulas import Or, Sentence, atom_ids, truth_table
+from .formulas import Sentence, atom_ids, truth_table
 
 
 class Favorability(enum.Enum):
@@ -62,13 +62,6 @@ class CompleteSet:
         if not check_complete(self.members):
             raise NotCompleteError(
                 "members overlap or their disjunction misses a valuation")
-
-    @property
-    def disjunction(self) -> Sentence:
-        node = self.members[0]
-        for m in self.members[1:]:
-            node = Or(node, m)
-        return node
 
 
 def classify_favorability(b: Sentence, a: Sentence) -> Favorability:

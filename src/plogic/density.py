@@ -2,8 +2,9 @@
 membership in the density-one filter.
 
 Membership in the filter (frequency tending to 1) is undecidable for
-arbitrary sets, so index sets are partitioned into classes with exact
-verdicts -- finite, cofinite, eventually periodic -- and everything else
+arbitrary sets.  Eventually periodic sets (finite, cofinite, periodic
+after a preamble) have exact verdicts and one sparse encoding: a period
+aligned at n = 1 plus finitely many flipped indices.  Everything else
 answers Unknown together with the frequency observed at a horizon.
 """
 
@@ -71,73 +72,57 @@ class IndexSet:
         return sum(1 for i in range(1, n + 1) if self.contains(i))
 
 
-def _sorted_unique(values) -> tuple[int, ...]:
-    out = tuple(sorted(set(values)))
-    if out and out[0] < 1:
+@dataclass(frozen=True)
+class DecidableSet(IndexSet):
+    """An eventually periodic set: n is a member exactly when
+    ``period[(n - 1) % len(period)]`` holds, except at the finitely many
+    ``flips``.  Its frequency tends to the period's density."""
+
+    period: tuple[bool, ...]
+    flips: frozenset[int]
+
+    def contains(self, n: int) -> bool:
+        return self.period[(n - 1) % len(self.period)] != (n in self.flips)
+
+    def count_upto(self, n: int) -> int:
+        size = len(self.period)
+        cycles, rest = divmod(n, size)
+        count = cycles * sum(self.period) + sum(self.period[:rest])
+        for m in self.flips:
+            if m <= n:
+                count += -1 if self.period[(m - 1) % size] else 1
+        return count
+
+
+def _indices(values) -> frozenset[int]:
+    out = frozenset(values)
+    if out and min(out) < 1:
         raise InvalidArgumentError("index sets live on the positive naturals")
     return out
 
 
-@dataclass(frozen=True)
-class FiniteSet(IndexSet):
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", _sorted_unique(self.members))
-
-    def contains(self, n: int) -> bool:
-        return n in self.members
-
-    def count_upto(self, n: int) -> int:
-        return sum(1 for m in self.members if m <= n)
+def FiniteSet(members) -> DecidableSet:
+    """The set of the listed indices."""
+    return DecidableSet((False,), _indices(members))
 
 
-@dataclass(frozen=True)
-class CofiniteSet(IndexSet):
-    excluded: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "excluded", _sorted_unique(self.excluded))
-
-    def contains(self, n: int) -> bool:
-        return n not in self.excluded
-
-    def count_upto(self, n: int) -> int:
-        return n - sum(1 for m in self.excluded if m <= n)
+def CofiniteSet(excluded) -> DecidableSet:
+    """Every index except the listed ones."""
+    return DecidableSet((True,), _indices(excluded))
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSet(IndexSet):
-    """Membership bits: preamble covers 1..len(preamble), then the period
-    repeats forever."""
-
-    preamble: tuple[bool, ...]
-    period: tuple[bool, ...]
-
-    def __post_init__(self):
-        if not self.period:
-            raise InvalidArgumentError("period must be nonempty")
-        object.__setattr__(self, "preamble", tuple(bool(b) for b in self.preamble))
-        object.__setattr__(self, "period", tuple(bool(b) for b in self.period))
-
-    def contains(self, n: int) -> bool:
-        if n <= len(self.preamble):
-            return self.preamble[n - 1]
-        offset = n - len(self.preamble) - 1
-        return self.period[offset % len(self.period)]
-
-    def count_upto(self, n: int) -> int:
-        pre = len(self.preamble)
-        if n <= pre:
-            return sum(self.preamble[:n])
-        count = sum(self.preamble)
-        tail = n - pre
-        cycles, rest = divmod(tail, len(self.period))
-        return count + cycles * sum(self.period) + sum(self.period[:rest])
-
-    @property
-    def period_density(self) -> Fraction:
-        return Fraction(sum(self.period), len(self.period))
+def EventuallyPeriodicSet(preamble, period) -> DecidableSet:
+    """Membership bits: ``preamble`` covers 1..len(preamble), then
+    ``period`` repeats forever.  Stored with the period rotated to start
+    at n = 1, and the preamble bits that disagree with it as flips."""
+    preamble, period = tuple(preamble), tuple(period)
+    if not period:
+        raise InvalidArgumentError("period must be nonempty")
+    size, shift = len(period), len(preamble)
+    aligned = tuple(bool(period[(i - shift) % size]) for i in range(size))
+    flips = frozenset(n for n, bit in enumerate(preamble, 1)
+                      if bool(bit) != aligned[(n - 1) % size])
+    return DecidableSet(aligned, flips)
 
 
 @dataclass(frozen=True)
@@ -151,15 +136,15 @@ class OpaqueSet(IndexSet):
         return bool(self.predicate(n))
 
 
-def naturals() -> CofiniteSet:
+def naturals() -> DecidableSet:
     return CofiniteSet(())
 
 
-def empty_set() -> FiniteSet:
+def empty_set() -> DecidableSet:
     return FiniteSet(())
 
 
-def evens() -> EventuallyPeriodicSet:
+def evens() -> DecidableSet:
     return EventuallyPeriodicSet((), (False, True))
 
 
@@ -173,65 +158,39 @@ def part_frequency(a: IndexSet, n: int) -> Fraction:
 def filter_membership(a: IndexSet, horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Does the frequency of ``a`` tend to 1?
 
-    Cofinite: yes.  Finite: no.  Eventually periodic: yes exactly when the
-    period is all ones.  Opaque: unknown, with the horizon frequency.
+    Decidable: yes exactly when the period is all ones, whatever the
+    flips.  Opaque: unknown, with the horizon frequency.
     """
     check_horizon(horizon)
-    if isinstance(a, CofiniteSet):
-        return YES
-    if isinstance(a, FiniteSet):
-        return NO
-    if isinstance(a, EventuallyPeriodicSet):
-        return YES if a.period_density == 1 else NO
+    if isinstance(a, DecidableSet):
+        return YES if all(a.period) else NO
     return unknown(horizon, part_frequency(a, horizon))
 
 
-# --- Set algebra on the decidable classes -------------------------------------
+# --- Set algebra on decidable sets ---------------------------------------------
 
 
 def complement(a: IndexSet) -> IndexSet:
-    if isinstance(a, FiniteSet):
-        return CofiniteSet(a.members)
-    if isinstance(a, CofiniteSet):
-        return FiniteSet(a.excluded)
-    if isinstance(a, EventuallyPeriodicSet):
-        return EventuallyPeriodicSet(
-            tuple(not b for b in a.preamble), tuple(not b for b in a.period))
+    if isinstance(a, DecidableSet):
+        return DecidableSet(tuple(not b for b in a.period), a.flips)
     return OpaqueSet(lambda n, _a=a: not _a.contains(n))
 
 
-def _as_periodic(a: IndexSet) -> EventuallyPeriodicSet | None:
-    if isinstance(a, EventuallyPeriodicSet):
-        return a
-    if isinstance(a, (FiniteSet, CofiniteSet)):
-        inside = isinstance(a, CofiniteSet)
-        marks = a.excluded if inside else a.members
-        bound = max(marks, default=0)
-        preamble = tuple(a.contains(i) for i in range(1, bound + 1))
-        return EventuallyPeriodicSet(preamble, (inside,))
-    return None
-
-
 def intersect(a: IndexSet, b: IndexSet) -> IndexSet:
-    """Intersection, staying inside the decidable classes when both
-    operands are decidable."""
-    if isinstance(a, FiniteSet):
-        return FiniteSet(tuple(m for m in a.members if b.contains(m)))
-    if isinstance(b, FiniteSet):
-        return intersect(b, a)
-    if isinstance(a, CofiniteSet) and isinstance(b, CofiniteSet):
-        return CofiniteSet(a.excluded + b.excluded)
-    pa = _as_periodic(a)
-    pb = _as_periodic(b)
-    if pa is not None and pb is not None:
-        pre = max(len(pa.preamble), len(pb.preamble))
-        period = math.lcm(len(pa.period), len(pb.period))
-        preamble = tuple(pa.contains(i) and pb.contains(i) for i in range(1, pre + 1))
-        cycle = tuple(
-            pa.contains(i) and pb.contains(i)
-            for i in range(pre + 1, pre + period + 1)
-        )
-        return EventuallyPeriodicSet(preamble, cycle)
+    """Intersection, staying decidable when both operands are decidable
+    or either one is finite."""
+    if isinstance(a, DecidableSet) and isinstance(b, DecidableSet):
+        size = math.lcm(len(a.period), len(b.period))
+        # Off both flip sets the operands follow their periods, and so
+        # does the meet; on them, keep the indices that disagree with it.
+        period = tuple(a.period[i % len(a.period)] and b.period[i % len(b.period)]
+                       for i in range(size))
+        flips = frozenset(n for n in a.flips | b.flips
+                          if (a.contains(n) and b.contains(n)) != period[(n - 1) % size])
+        return DecidableSet(period, flips)
+    for finite, other in ((a, b), (b, a)):
+        if isinstance(finite, DecidableSet) and not any(finite.period):
+            return FiniteSet(n for n in sorted(finite.flips) if other.contains(n))
     return OpaqueSet(lambda n, _a=a, _b=b: _a.contains(n) and _b.contains(n))
 
 

@@ -336,7 +336,10 @@ def _gap(x: QNumber, y: QNumber) -> Fraction | None:
 def _order(x: QNumber, y: QNumber) -> int | None:
     """Sign of x - y on a density-one index set (-1, 0 or 1) when the
     declared structure decides it, else None.  Every descriptor holds at
-    all but finitely many indices, a set of density one."""
+    all but finitely many indices, a set of density one.  Without a sign
+    for the whole pair, interleaves are compared slot by slot: a slot's
+    sign holds on all but a density-zero part of its residue class, so
+    one sign shared by every slot is the pair's sign."""
     gap = _gap(x, y)
     if gap is not None:
         return _sign(gap)
@@ -345,12 +348,14 @@ def _order(x: QNumber, y: QNumber) -> int | None:
     if y.standard is not None and y.standard <= 0 and x.strictly_positive:
         return 1
     lx, ly = x.limit, y.limit
-    if lx is None or ly is None:
-        return None
-    xinf, yinf = isinstance(lx, _Infinite), isinstance(ly, _Infinite)
-    if xinf or yinf:
-        return None if xinf and yinf else (1 if xinf else -1)
-    return _sign(lx - ly) or None  # equal limits leave the sign open
+    if lx is not None and ly is not None:
+        xinf, yinf = isinstance(lx, _Infinite), isinstance(ly, _Infinite)
+        if xinf != yinf:
+            return 1 if xinf else -1
+        if not xinf and lx != ly:
+            return _sign(lx - ly)  # equal limits leave the sign open
+    signs = {_order(a, b) for a, b in _cycle_slots(x, y)}
+    return signs.pop() if len(signs) == 1 else None
 
 
 def _sweep(horizon: int, hit: Callable[[int], bool]) -> Verdict:
@@ -367,20 +372,6 @@ def invertible(x: QNumber) -> Verdict:
     if order is not None:
         return YES if order else NO
     return _sweep(DEFAULT_HORIZON, lambda n: x.term(n) != 0)
-
-
-def _equal_by_structure(x: QNumber, y: QNumber) -> Verdict | None:
-    """q_equal's answer from declared structure alone, or None.  Without
-    an overall order, interleaves are compared slot by slot: equal in
-    every slot is equal, and a slot decided unequal holds a set of
-    positive density where the two disagree."""
-    order = _order(x, y)
-    if order is not None:
-        return NO if order else YES
-    orders = [_order(a, b) for a, b in _cycle_slots(x, y)]
-    if not orders or None in orders:
-        return None
-    return NO if any(orders) else YES
 
 
 def _cycle_slots(x: QNumber, y: QNumber) -> list[tuple[QNumber, QNumber]]:
@@ -400,9 +391,11 @@ def _cycle_slots(x: QNumber, y: QNumber) -> list[tuple[QNumber, QNumber]]:
 def q_equal(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Do the sequences agree on a density-one index set?"""
     check_horizon(horizon)
-    verdict = _equal_by_structure(x, y)
-    if verdict is not None:
-        return verdict
+    order = _order(x, y)
+    if order is not None:
+        return NO if order else YES
+    if any(_order(a, b) for a, b in _cycle_slots(x, y)):
+        return NO  # a slot decided unequal has positive density
     return _sweep(horizon, lambda n: x.term(n) == y.term(n))
 
 
@@ -452,7 +445,7 @@ def infinitely_close(x: QNumber, y: QNumber,
     """Is |x - y| zero or infinitesimal?  Never sweeps: Unknown carries
     |x_h - y_h| at the horizon."""
     check_horizon(horizon)
-    if _equal_by_structure(x, y) is YES:
+    if _order(x, y) == 0:
         return YES
     if _gap(x, y) is not None:
         return NO  # a constant gap; a zero gap was equality above

@@ -1,8 +1,9 @@
 """Shared generators for the test suite: random sentences, random exact
 measures, and exhaustive sentence corpora; an independent recursive
 evaluator, per-minterm mass sum, distribution-file parser, run-count
-series and binomial window sum; and an independent oracle for the
-derivability boundary of the proof kernel."""
+series and binomial window sum; an independent oracle for the
+derivability boundary of the proof kernel; and an independent membership
+oracle for described index sets."""
 
 from __future__ import annotations
 
@@ -199,3 +200,118 @@ def is_falsifying_witness(s: Sentence, assignment) -> bool:
             and set(assignment) == set(opaque_units(s))
             and set(assignment.values()) <= {0, 1}
             and not unit_value(s, assignment))
+
+
+# -- index-set oracle --------------------------------------------------------
+#
+# A set is described by a tuple: ("finite", members), ("cofinite",
+# excluded), ("periodic", preamble, period), ("opaque", step, modulus,
+# below) for {n : n*step % modulus < below}, ("named", name), and the
+# derived ("not", d) and ("and", d, e).  Away from the finitely many listed
+# indices, every described set follows a "generic" membership that is
+# periodic in n; the helpers below count with that, sharing no code with
+# plogic.density.
+
+_NAMED = {"naturals": ("cofinite", ()), "empty_set": ("finite", ()),
+          "evens": ("periodic", (), (False, True))}
+
+
+def _generic(desc, n: int) -> bool:
+    """Membership of n in ``desc`` with every listed index ignored."""
+    kind = desc[0]
+    if kind == "named":
+        return _generic(_NAMED[desc[1]], n)
+    if kind == "not":
+        return not _generic(desc[1], n)
+    if kind == "and":
+        return _generic(desc[1], n) and _generic(desc[2], n)
+    if kind == "periodic":
+        preamble, period = desc[1], desc[2]
+        return period[(n - len(preamble) - 1) % len(period)]
+    if kind == "opaque":
+        step, modulus, below = desc[1:]
+        return (n * step) % modulus < below
+    return kind == "cofinite"
+
+
+def reference_member(desc, n: int) -> bool:
+    """Membership of n in the described set."""
+    kind = desc[0]
+    if kind == "named":
+        return reference_member(_NAMED[desc[1]], n)
+    if kind == "not":
+        return not reference_member(desc[1], n)
+    if kind == "and":
+        return reference_member(desc[1], n) and reference_member(desc[2], n)
+    if kind == "periodic" and n <= len(desc[1]):
+        return desc[1][n - 1]
+    if kind in ("finite", "cofinite") and n in desc[1]:
+        return kind == "finite"
+    return _generic(desc, n)
+
+
+def listed_indices(desc) -> set[int]:
+    """Every index where membership may differ from the generic one."""
+    kind = desc[0]
+    if kind in ("not", "and"):
+        return set().union(*(listed_indices(d) for d in desc[1:]))
+    if kind in ("finite", "cofinite"):
+        return set(desc[1])
+    if kind == "periodic":
+        return set(range(1, len(desc[1]) + 1))
+    return set()
+
+
+def _generic_period(desc) -> int:
+    """A period of the generic membership."""
+    kind = desc[0]
+    if kind == "named":
+        return _generic_period(_NAMED[desc[1]])
+    if kind in ("not", "and"):
+        return math.lcm(*(_generic_period(d) for d in desc[1:]))
+    if kind == "periodic":
+        return len(desc[2])
+    if kind == "opaque":
+        return desc[2]
+    return 1
+
+
+def reference_count(desc, n: int) -> int:
+    """Members of the described set in {1..n}: whole generic periods, the
+    generic remainder, then a correction at each listed index."""
+    size = _generic_period(desc)
+    per_period = sum(_generic(desc, i) for i in range(1, size + 1))
+    count = (n // size) * per_period + sum(
+        _generic(desc, i) for i in range(1, n % size + 1))
+    return count + sum(reference_member(desc, m) - _generic(desc, m)
+                       for m in listed_indices(desc) if m <= n)
+
+
+def reference_decided(desc) -> bool:
+    """Whether the density layer decides filter membership for ``desc``:
+    no opaque part, or an opaque part met by an eventually empty set."""
+    kind = desc[0]
+    if kind == "opaque":
+        return False
+    if kind == "not":
+        return reference_decided(desc[1])
+    if kind == "and":
+        left, right = desc[1:]
+        return ((reference_decided(left) and reference_decided(right))
+                or reference_eventually_empty(left)
+                or reference_eventually_empty(right))
+    return True
+
+
+def reference_eventually_empty(desc) -> bool:
+    """Decided, and with no generic member: only listed indices belong."""
+    return reference_decided(desc) and not any(
+        _generic(desc, i) for i in range(1, _generic_period(desc) + 1))
+
+
+def reference_filter(desc, horizon: int) -> str:
+    """The filter verdict as ``str(filter_membership(...))`` prints it."""
+    if reference_decided(desc):
+        return "yes" if all(_generic(desc, i) for i in range(
+            1, _generic_period(desc) + 1)) else "no"
+    return f"unknown(freq@{horizon}={Fraction(reference_count(desc, horizon), horizon)})"

@@ -4,7 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (
+    listed_indices,
+    reference_count,
+    reference_decided,
+    reference_filter,
+    reference_member,
+)
 from plogic.density import (
     CofiniteSet,
     EventuallyPeriodicSet,
@@ -170,3 +179,79 @@ class TestSetAlgebra:
             FiniteSet((0, 1))
         with pytest.raises(ValueError):
             EventuallyPeriodicSet((), ())
+
+
+class TestSparseEncoding:
+    def test_far_exclusion_meets_evens_at_once(self):
+        # Cost must follow the number of listed indices, not their size:
+        # one bit per index up to 10**12 would never finish.
+        big = 10**12
+        meet = intersect(CofiniteSet((big,)), evens())
+        assert [meet.contains(n) for n in (big - 2, big - 1, big, big + 1, big + 2)] == [
+            True, False, False, False, True]
+        assert filter_membership(meet).is_no
+        assert part_frequency(meet, 10**6) == Fraction(1, 2)
+        assert part_frequency(meet, big + 2) == Fraction(big // 2, big + 2)
+
+    def test_eventually_empty_meets_opaque_is_decided(self):
+        eventually_empty = EventuallyPeriodicSet((True,), (False,))
+        opaque = from_predicate(lambda n: n % 3 != 0)
+        for meet in (intersect(eventually_empty, opaque),
+                     intersect(opaque, eventually_empty)):
+            assert not isinstance(meet, OpaqueSet)
+            assert filter_membership(meet).is_no
+            assert [meet.contains(n) for n in (1, 2, 3)] == [True, False, False]
+
+
+_INDICES = st.lists(st.integers(1, 10**6), max_size=6)
+_BITS = st.lists(st.booleans(), max_size=8).map(tuple)
+_DESCRIPTIONS = st.one_of(
+    st.tuples(st.just("finite"), _INDICES.map(tuple)),
+    st.tuples(st.just("cofinite"), _INDICES.map(tuple)),
+    st.tuples(st.just("periodic"), _BITS,
+              st.lists(st.booleans(), min_size=1, max_size=6).map(tuple)),
+    st.tuples(st.just("named"), st.sampled_from(["naturals", "empty_set", "evens"])),
+    st.tuples(st.just("opaque"), st.integers(1, 9), st.integers(2, 9),
+              st.integers(0, 9)),
+)
+_NAMED_SETS = {"naturals": naturals, "empty_set": empty_set, "evens": evens}
+
+
+def _build(desc):
+    kind = desc[0]
+    if kind == "finite":
+        return FiniteSet(desc[1])
+    if kind == "cofinite":
+        return CofiniteSet(desc[1])
+    if kind == "periodic":
+        return EventuallyPeriodicSet(desc[1], desc[2])
+    if kind == "named":
+        return _NAMED_SETS[desc[1]]()
+    step, modulus, below = desc[1:]
+    return from_predicate(lambda n: (n * step) % modulus < below)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DESCRIPTIONS, _DESCRIPTIONS, st.lists(st.integers(1, 10**6 + 1), max_size=4),
+       st.integers(1, 300))
+def test_set_algebra_matches_the_oracle(da, db, points, horizon):
+    """contains, part_frequency, filter_membership, complement and
+    intersect agree with an oracle that reads only the descriptions."""
+    a, b = _build(da), _build(db)
+    na, nb = ("not", da), ("not", db)
+    derived = [(a, da), (complement(a), na), (intersect(a, b), ("and", da, db)),
+               (intersect(b, complement(a)), ("and", db, na)),
+               (intersect(complement(a), complement(b)), ("and", na, nb))]
+    near = {m + d for m in listed_indices(("and", da, db)) for d in (-1, 0, 1)}
+    probes = sorted((near | set(points) | set(range(1, 40))) - {0})
+    for index_set, desc in derived:
+        decided = reference_decided(desc)
+        assert isinstance(index_set, OpaqueSet) is not decided, desc
+        assert [index_set.contains(n) for n in probes] == [
+            reference_member(desc, n) for n in probes], desc
+        # An opaque set is counted term by term, so keep its sizes small.
+        for n in (points if decided else [p % 2000 + 1 for p in points]):
+            assert part_frequency(index_set, n) == Fraction(
+                reference_count(desc, n), n), (desc, n)
+        assert str(filter_membership(index_set, horizon)) == reference_filter(
+            desc, horizon), desc

@@ -342,6 +342,26 @@ class TestStructuralOrder:
         assert (verdict.horizon, verdict.frequency) == (10_000, 1)
         assert sorted(reads) == [("x", 10_000), ("y", 10_000)]
 
+    def test_interleaves_built_twice_are_ordered_slot_by_slot(self):
+        # Each build is a fresh leaf, so only the slots compare them.
+        x = cycle([standard(1), harmonic()])
+        y = cycle([standard(1), harmonic()])
+        assert q_less(x, y).is_no
+        assert q_less(y, x).is_no
+        assert q_equal(x, y).is_yes
+
+    def test_every_slot_below_is_below(self):
+        x = cycle([standard(1), standard(2)])
+        y = cycle([standard(3), standard(5)])
+        assert q_less(x, y).is_yes
+        assert q_less(y, x).is_no
+
+    def test_one_slot_decided_unequal_is_unequal(self):
+        x = cycle([standard(1), _random_seq(17)])
+        y = cycle([standard(2), _random_seq(18)])
+        assert q_equal(x, y).is_no
+        assert q_less(x, y, horizon=50).is_unknown
+
 
 class TestDescriptorsSurviveEdits:
     """Each descriptor holds at all but finitely many indices, so edits
