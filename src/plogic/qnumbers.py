@@ -368,9 +368,13 @@ def invertible(x: QNumber) -> Verdict:
     """Is zero strictly below |x| through the filter?  Yes exactly when
     reciprocal is admissible; note a positive infinitesimal qualifies (its
     reciprocal is an infinite value)."""
-    order = _order(x, standard(0))
+    zero = standard(0)
+    order = _order(x, zero)
     if order is not None:
         return YES if order else NO
+    slots = _cycle_slots(x, zero)
+    if slots and all(_order(a, b) for a, b in slots):
+        return YES  # every slot is nonzero on a density-one part of it
     return _sweep(DEFAULT_HORIZON, lambda n: x.term(n) != 0)
 
 

@@ -15,11 +15,15 @@ instances and modus ponens steps stay valid under the abstraction), so
 a sentence whose abstraction is falsifiable has no proof at all.
 Conversely, when the abstraction is a tautology the synthesizer proves
 it variable-by-variable and substitutes the opaque subtrees back in.
+
+The steps that follow the goal's structure (``derive`` and the
+deduction-theorem transform ``dt``) are generators driven by one loop,
+``_run``, so goal depth is limited by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Generator, Mapping, Sequence
 
 from .errors import NotDerivableError, NotTautologyError, TooManyAtomsError
 from .formulas import (
@@ -29,11 +33,10 @@ from .formulas import (
     Implies,
     Not,
     Sentence,
-    Valuation,
+    _atom_mask,
     _fold,
     as_implication,
     atom_ids,
-    evaluate,
     format_sentence,
     is_tautology,
     truth_table,
@@ -98,6 +101,25 @@ def _substitute(roots: Sequence[Sentence], mapping: Mapping[int, Sentence]) -> l
     return _fold(roots, leaf, Not, And)
 
 
+def _run(steps: Generator) -> int:
+    """Run proof steps to their line.  A step yields each sub-step whose
+    line it needs and is sent that line back; the suspended steps wait on
+    this loop's own stack, not on Python's."""
+    stack = [steps]
+    line = None
+    while True:
+        try:
+            sub = stack[-1].send(line)
+        except StopIteration as done:
+            stack.pop()
+            line = done.value
+            if not stack:
+                return line
+        else:
+            stack.append(sub)
+            line = None
+
+
 class _Builder:
     """Growing line list with sentence-level deduplication.
 
@@ -115,7 +137,7 @@ class _Builder:
         self._hyp_lines: dict[Sentence, int] = {}
         self._dt_memo: dict[tuple[int, Sentence], int] = {}
         self._derive_memo: dict = {}
-        self._atoms_cache: dict[Sentence, frozenset[int]] = {}
+        self._tables: dict[int, tuple[int, int]] = {}
 
     # -- line primitives ----------------------------------------------------
 
@@ -267,8 +289,13 @@ class _Builder:
 
     def dt(self, i: int, h: Sentence) -> int:
         """Line proving h -> sentence(i), with h removed from the hypothesis
-        set.  Lines not depending on h are lifted with one A1 step; modus
-        ponens steps are rebuilt through the distribution schema A2."""
+        set."""
+        return _run(self._dt(i, h))
+
+    def _dt(self, i: int, h: Sentence) -> Generator:
+        """Steps of ``dt``.  Lines not depending on h are lifted with one A1
+        step; modus ponens steps are rebuilt through the distribution
+        schema A2."""
         key = (i, h)
         got = self._dt_memo.get(key)
         if got is not None:
@@ -283,8 +310,8 @@ class _Builder:
             just = self.justs[i]
             assert type(just) is ModusPonens, "dependent line must be a deduction step"
             x, y = as_implication(self.sents[just.major])
-            da = self.dt(just.major, h)  # h -> (x -> y)
-            db = self.dt(just.minor, h)  # h -> x
+            da = yield self._dt(just.major, h)  # h -> (x -> y)
+            db = yield self._dt(just.minor, h)  # h -> x
             a2 = self.axiom("A2", {"A": h, "B": x, "C": y})
             res = self.mp(self.mp(a2, da), db)
         self._dt_memo[key] = res
@@ -292,28 +319,45 @@ class _Builder:
 
     # -- per-valuation derivation ---------------------------------------------
 
-    def _atoms(self, node: Sentence) -> frozenset[int]:
-        got = self._atoms_cache.get(node)
-        if got is None:
-            got = atom_ids(node)
-            self._atoms_cache[node] = got
-        return got
+    def tabulate(self, skeleton: Sentence, k: int) -> None:
+        """Give every node under ``skeleton`` (by id) its truth table over
+        the k sweep variables (variable 0 most significant) and the mask of
+        the minterm-index bits that its atoms occupy."""
+        nodes: list[Sentence] = []
 
-    def derive(self, node: Sentence, val: Valuation) -> int:
-        """Line proving ``node`` when it holds under ``val``, else its
-        negation, from the literal hypotheses of ``val``."""
-        bits = val.bits
-        key = (node, frozenset((i, bits[i]) for i in self._atoms(node)))
+        def collect(node: Sentence) -> Sentence | None:
+            nodes.append(node)
+            return node if type(node) is AtomRef else None
+
+        def leaf(node: Sentence) -> tuple[int, int] | None:
+            if type(node) is not AtomRef:
+                return None
+            vid = node.atom.id
+            return _atom_mask(vid, k), 1 << (k - 1 - vid)
+
+        full = (1 << (1 << k)) - 1
+        _fold((skeleton,), collect, None, None)
+        values = _fold(nodes, leaf, lambda c: (full ^ c[0], c[1]),
+                       lambda a, b: (a[0] & b[0], a[1] | b[1]))
+        self._tables = dict(zip(map(id, nodes), values))
+
+    def derive(self, node: Sentence, idx: int) -> Generator:
+        """Steps to the line proving ``node`` when it holds under minterm
+        ``idx`` of the tabulated variables, else its negation, from the
+        literal hypotheses of ``idx``."""
+        tables = self._tables
+        table, atom_bits = tables[id(node)]
+        key = (node, idx & atom_bits)
         got = self._derive_memo.get(key)
         if got is not None:
             return got
         t = type(node)
         if t is AtomRef:
-            res = self.hyp(node if bits[node.atom.id] else Not(node))
+            res = self.hyp(node if table >> idx & 1 else Not(node))
         elif t is Not:
             c = node.child
-            i = self.derive(c, val)
-            if evaluate(c, val):
+            i = yield self.derive(c, idx)
+            if tables[id(c)][0] >> idx & 1:
                 res = self.mp(self.dni(c), i)  # !!c refutes node = !c
             else:
                 res = i  # the line already proves !c, i.e. node
@@ -321,15 +365,15 @@ class _Builder:
             x = node.left
             assert type(node.right) is Not, "conjunction must be implication-shaped"
             z = node.right.child
-            if not evaluate(x, val):
-                ix = self.derive(x, val)  # !x
+            if not tables[id(x)][0] >> idx & 1:
+                ix = yield self.derive(x, idx)  # !x
                 res = self.mp(self.exfalso(x, z), ix)  # x -> z refutes node
-            elif evaluate(z, val):
-                iz = self.derive(z, val)  # z
+            elif tables[id(z)][0] >> idx & 1:
+                iz = yield self.derive(z, idx)  # z
                 res = self.mp(self.axiom("A1", {"A": z, "B": x}), iz)  # x -> z
             else:
-                ix = self.derive(x, val)  # x
-                iz = self.derive(z, val)  # !z
+                ix = yield self.derive(x, idx)  # x
+                iz = yield self.derive(z, idx)  # !z
                 t1 = self.conj_intro_neg(x, z)
                 res = self.mp(self.mp(t1, ix), iz)  # x & !z = node
         self._derive_memo[key] = res
@@ -352,15 +396,14 @@ class _Builder:
         a3 = self.axiom("A3", {"A": p, "B": g})
         return self.mp(self.mp(a3, m1), m5)
 
-    def eliminate(self, variables: list[Atom], bits: tuple[int, ...], goal: Sentence) -> int:
-        """Derive ``goal`` with the variables after ``bits`` discharged;
-        variable i has id i and is fixed to bits[i]."""
-        i = len(bits)
+    def eliminate(self, variables: list[Atom], goal: Sentence, i: int = 0, idx: int = 0) -> int:
+        """Derive ``goal`` with variables i.. discharged; variable j < i has
+        id j and is fixed to bit i - 1 - j of ``idx``."""
         if i == len(variables):
-            return self.derive(goal, Valuation(bits))
+            return _run(self.derive(goal, idx))
         ref = AtomRef(variables[i])
-        t = self.eliminate(variables, bits + (1,), goal)
-        f = self.eliminate(variables, bits + (0,), goal)
+        t = self.eliminate(variables, goal, i + 1, idx << 1 | 1)
+        f = self.eliminate(variables, goal, i + 1, idx << 1)
         line_pg = self.dt(t, ref)
         line_npg = self.dt(f, Not(ref))
         return self.case_split(ref, goal, line_pg, line_npg)
@@ -460,6 +503,7 @@ def synthesize_proof(s: Sentence) -> Deduction:
             f"synthesis would sweep 2^{k} cases; the cap is 2^{MAX_SWEEP_VARS}")
 
     builder = _Builder()
+    builder.tabulate(skeleton, k)
     variables = [Atom(i, f"_v{i}") for i in range(k)]
-    root = builder.eliminate(variables, (), skeleton)
+    root = builder.eliminate(variables, skeleton)
     return builder.extract(root, s, mapping=subtree_of)

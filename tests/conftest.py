@@ -1,15 +1,17 @@
 """Shared generators for the test suite: random sentences, random exact
-measures, and exhaustive sentence corpora; an independent recursive
-evaluator, per-minterm mass sum, distribution-file parser, run-count
-series and binomial window sum; an independent oracle for the
-derivability boundary of the proof kernel; and an independent membership
-oracle for described index sets."""
+measures, and exhaustive sentence corpora; a recursion-headroom guard;
+an independent recursive evaluator, per-minterm mass sum,
+distribution-file parser, run-count series and binomial window sum; an
+independent oracle for the derivability boundary of the proof kernel;
+and an independent membership oracle for described index sets."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -37,6 +39,24 @@ def random_sentence(rng: random.Random, atoms, depth: int,
     if roll < 0.8:
         return Or(left, right)
     return Implies(left, right)
+
+
+@contextlib.contextmanager
+def recursion_headroom():
+    """Set the recursion limit to 150 frames above the caller's stack depth
+    for the block, so that any step recursing once per level of an input a
+    few hundred deep fails fast; the old limit comes back afterwards."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def random_bfunction(rng: random.Random, n: int) -> BFunction:

@@ -5,10 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import recursion_headroom
 from plogic.cli import fmt_decimal, fmt_rational, main, run
 from plogic.measures import load_distribution
 from plogic.proofs import check_deduction, parse_proof
 from plogic.trials import lln_bound, point_prob, range_prob
+
+#: Input depth that a step recursing once per level cannot reach under
+#: ``recursion_headroom``.
+DEEP = 400
 
 
 class TestFormatting:
@@ -270,15 +275,56 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_too_deep_for_the_synthesizer_is_one_error_line(self, capsys):
-        # A derivable one-atom goal whose proof search recurses once per `!`.
-        assert main(["prove", "!" * 3000 + "A | !A"]) == 1
+    def test_deep_goal_is_proved_and_checked(self, capsys, tmp_path):
+        # A derivable one-atom goal 400 `!` deep, with little stack to spare.
+        with recursion_headroom():
+            assert main(["prove", "!" * DEEP + "A | !A"]) == 0
         captured = capsys.readouterr()
-        lines = captured.out.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ")
-        assert "RecursionError" in lines[0]
-        assert "Traceback" not in captured.out + captured.err
+        assert captured.err == ""
+        proof_file = tmp_path / "deep.txt"
+        proof_file.write_text(captured.out)
+        with recursion_headroom():
+            assert main(["check", str(proof_file)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "accepted"
+
+
+class TestRecursionHeadroom:
+    """No command recurses with input depth: each answers input 400 deep
+    with 150 frames of stack to spare (`prove` in TestExitCodes)."""
+
+    @staticmethod
+    def _run(argv):
+        with recursion_headroom():
+            report = run(argv)
+        assert report.ok, report.lines
+        return report.lines
+
+    def test_eval_and_taut(self):
+        chain = "!" * DEEP + "A"
+        assert self._run(["eval", chain, "--world", "1"]) == ["value: 1"]
+        assert self._run(["taut", chain + " | !A"]) == ["tautology: yes"]
+        nested = "(" * DEEP + "A -> A" + ")" * DEEP
+        assert self._run(["taut", nested]) == ["tautology: yes"]
+
+    def test_prob_and_cond(self, tmp_path):
+        dist = tmp_path / "d.txt"
+        dist.write_text("1 1/4\n0 3/4\n")
+        chain = "!" * DEEP + "A"
+        assert self._run(["prob", chain, "--dist", str(dist)]) == ["1/4 0.250000000000"]
+        assert self._run(["cond", chain, chain + " | A", "--dist", str(dist)]) \
+            == ["1 1.000000000000"]
+
+    def test_classical(self, tmp_path):
+        members = tmp_path / "set.txt"
+        members.write_text("!" * DEEP + "A\n!A\n")
+        assert self._run(["classical", "--set", str(members), "--event", "A"]) \
+            == ["1 2 1/2"]
+
+    def test_check(self, tmp_path):
+        deep = "!" * DEEP + "A"
+        proof_file = tmp_path / "a1.txt"
+        proof_file.write_text(f"1. {deep} -> (B -> {deep}) ; axiom A1\n")
+        assert self._run(["check", str(proof_file)])[0] == "accepted"
 
 
 class TestArgumentErrors:
@@ -305,6 +351,11 @@ class TestArgumentErrors:
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
         assert "Traceback" not in captured.out + captured.err
+
+    def test_run_count_outside_the_runs_is_named(self, capsys):
+        assert main(["bernoulli", "--r", "3", "--k", "7", "--p", "1/2"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "error: run count 7 outside 0..3"]
 
     def test_bad_argument_is_named_on_the_error_line(self, capsys):
         assert main(["bernoulli", "--r", "x", "--p", "1/2"]) == 1

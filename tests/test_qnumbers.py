@@ -328,6 +328,13 @@ class TestStructuralOrder:
         f = _random_seq(16)
         assert invertible(f - f).is_no
 
+    def test_slots_decided_nonzero_are_invertible(self):
+        # The slots differ in sign, so no one sign is shared, but each
+        # slot is nonzero; no sweep is needed.
+        x = cycle([standard(1), standard(-1)])
+        assert invertible(x).is_yes
+        assert reciprocal(x).prefix(4) == [1, -1, 1, -1]
+
     def test_close_reads_opaque_sequences_only_at_the_horizon(self):
         reads = []
 

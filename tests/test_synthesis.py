@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import is_falsifying_witness, make_atoms, random_sentence
+from conftest import is_falsifying_witness, make_atoms, random_sentence, recursion_headroom
 from plogic.errors import NotDerivableError, NotTautologyError, TooManyAtomsError
 from plogic.formulas import (
     And,
@@ -234,3 +234,18 @@ class TestSoundness:
         assert check_deduction(d).ok
         for sentence, _ in d.lines:
             assert is_tautology(sentence)
+
+
+class TestDepth:
+    """Synthesis keeps its own stack: no step recurses with goal depth."""
+
+    def test_deep_goal_with_little_stack_to_spare(self):
+        chain = A
+        for _ in range(400):
+            chain = Not(chain)
+        goal = Or(chain, Not(A))
+        with recursion_headroom():
+            assert is_derivable(goal)
+            proof = synthesize_proof(goal)
+            assert check_deduction(proof).ok
+        assert len(proof.lines) == 15 * 400 + 147
