@@ -235,7 +235,8 @@ def _lift_add(x: QNumber, y: QNumber) -> QNumber:
         limit = lx + ly
     return QNumber(seq, limit=limit,
                    strictly_positive=x.strictly_positive and y.strictly_positive,
-                   poly=_poly_add(x.poly, y.poly))
+                   poly=_poly_add(x.poly, y.poly),
+                   components=_slotwise(_lift_add, x, y))
 
 
 def _lift_mul(x: QNumber, y: QNumber) -> QNumber:
@@ -255,7 +256,8 @@ def _lift_mul(x: QNumber, y: QNumber) -> QNumber:
         limit = lx * ly
     return QNumber(seq, limit=limit,
                    strictly_positive=x.strictly_positive and y.strictly_positive,
-                   poly=_poly_mul(x.poly, y.poly))
+                   poly=_poly_mul(x.poly, y.poly),
+                   components=_slotwise(_lift_mul, x, y))
 
 
 def _lift_negate(x: QNumber) -> QNumber:
@@ -265,7 +267,16 @@ def _lift_negate(x: QNumber) -> QNumber:
     limit = None
     if x.limit is not None and not isinstance(x.limit, _Infinite):
         limit = -x.limit
-    return QNumber(seq, limit=limit, poly=_poly_neg(x.poly))
+    comps = x.components
+    return QNumber(seq, limit=limit, poly=_poly_neg(x.poly),
+                   components=comps and tuple(map(_lift_negate, comps)))
+
+
+def _slotwise(op: Callable, x: QNumber, y: QNumber) -> tuple[QNumber, ...] | None:
+    """The interleave slots of op(x, y): slot by slot when both operands
+    interleave alike, each slot with the other operand when one does.  A
+    slot is read at the full index, so either way it is exact."""
+    return tuple(op(a, b) for a, b in _cycle_slots(x, y)) or None
 
 
 def _lift_reciprocal(x: QNumber) -> QNumber:

@@ -2,7 +2,10 @@
 
 The synthesizer derives the goal under every valuation from literal
 hypotheses, then discharges the hypotheses pairwise with a mechanical
-deduction-theorem transformer and a case-split step.
+deduction-theorem transformer and a case-split step.  Two shorter routes
+compete with this sweep (assume the goal's antecedents and close them
+under modus ponens; the contraposition template), and the proof with the
+fewest lines wins, the sweep's on a tie.
 
 Derivability boundary.  Modus ponens only ever destructures the
 implication shape not(x and not(y)), and every conjunction inside the
@@ -319,10 +322,12 @@ class _Builder:
 
     # -- per-valuation derivation ---------------------------------------------
 
-    def tabulate(self, skeleton: Sentence, k: int) -> None:
+    def tabulate(self, skeleton: Sentence, variables: list[Atom]) -> None:
         """Give every node under ``skeleton`` (by id) its truth table over
-        the k sweep variables (variable 0 most significant) and the mask of
+        the sweep variables (the first most significant) and the mask of
         the minterm-index bits that its atoms occupy."""
+        k = len(variables)
+        position = {atom: p for p, atom in enumerate(variables)}
         nodes: list[Sentence] = []
 
         def collect(node: Sentence) -> Sentence | None:
@@ -332,8 +337,8 @@ class _Builder:
         def leaf(node: Sentence) -> tuple[int, int] | None:
             if type(node) is not AtomRef:
                 return None
-            vid = node.atom.id
-            return _atom_mask(vid, k), 1 << (k - 1 - vid)
+            p = position[node.atom]
+            return _atom_mask(p, k), 1 << (k - 1 - p)
 
         full = (1 << (1 << k)) - 1
         _fold((skeleton,), collect, None, None)
@@ -397,8 +402,8 @@ class _Builder:
         return self.mp(self.mp(a3, m1), m5)
 
     def eliminate(self, variables: list[Atom], goal: Sentence, i: int = 0, idx: int = 0) -> int:
-        """Derive ``goal`` with variables i.. discharged; variable j < i has
-        id j and is fixed to bit i - 1 - j of ``idx``."""
+        """Derive ``goal`` with variables i.. discharged; variable j < i is
+        fixed to bit i - 1 - j of ``idx``."""
         if i == len(variables):
             return _run(self.derive(goal, idx))
         ref = AtomRef(variables[i])
@@ -502,8 +507,62 @@ def synthesize_proof(s: Sentence) -> Deduction:
         raise TooManyAtomsError(
             f"synthesis would sweep 2^{k} cases; the cap is 2^{MAX_SWEEP_VARS}")
 
+    proofs = (_by_sweep(s, skeleton, subtree_of), _by_deduction(s), _by_contraposition(s))
+    return min((d for d in proofs if d is not None), key=lambda d: len(d.lines))
+
+
+def _by_sweep(s: Sentence, skeleton: Sentence, subtree_of: Mapping[int, Sentence]) -> Deduction:
+    """Kalmár's sweep over the opaque units.  When every unit is an atom,
+    the goal is its own skeleton: sweep its atoms, and substitute nothing."""
+    variables = [u.atom for u in subtree_of.values() if type(u) is AtomRef]
+    target, mapping = s, None
+    if len(variables) < len(subtree_of):
+        variables = [Atom(i, f"_v{i}") for i in range(len(subtree_of))]
+        target, mapping = skeleton, subtree_of
     builder = _Builder()
-    builder.tabulate(skeleton, k)
-    variables = [Atom(i, f"_v{i}") for i in range(k)]
-    root = builder.eliminate(variables, skeleton)
-    return builder.extract(root, s, mapping=subtree_of)
+    builder.tabulate(target, variables)
+    return builder.extract(builder.eliminate(variables, target), s, mapping)
+
+
+def _by_deduction(goal: Sentence) -> Deduction | None:
+    """Deduction theorem first: assume the antecedents of x1 -> (x2 -> ...
+    -> y), close them under modus ponens, and if y turns up discharge the
+    assumptions last to first."""
+    builder = _Builder()
+    assumed = []
+    y = goal
+    while (imp := as_implication(y)) is not None:
+        assumed.append(imp[0])
+        y = imp[1]
+    lines: dict[Sentence, int] = {}
+    waiting: dict[Sentence, list[int]] = {}  # antecedent -> implication lines
+    work = [builder.hyp(x) for x in reversed(assumed)]
+    while work and y not in lines:
+        i = work.pop()
+        sent = builder.sents[i]
+        if sent in lines:
+            continue
+        lines[sent] = i
+        imp = as_implication(sent)
+        if imp is not None:
+            if imp[0] in lines:
+                work.append(builder.mp(i, lines[imp[0]]))
+            else:
+                waiting.setdefault(imp[0], []).append(i)
+        work.extend(builder.mp(j, i) for j in waiting.pop(sent, ()))
+    i = lines.get(y)
+    if i is None:
+        return None
+    for x in reversed(assumed):
+        i = builder.dt(i, x)
+    return builder.extract(i, goal)
+
+
+def _by_contraposition(goal: Sentence) -> Deduction | None:
+    """The closed template for a goal (x -> y) -> (!y -> !x)."""
+    imp = as_implication(goal)
+    xy = imp and as_implication(imp[0])
+    if xy is None or imp[1] != Implies(Not(xy[1]), Not(xy[0])):
+        return None
+    builder = _Builder()
+    return builder.extract(builder.contra(*xy), goal)

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, and file handling."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -36,6 +37,20 @@ class TestFormatting:
         numerator, denominator = text.split("/")
         assert numerator == "-1" + "0" * 5000
         assert _exact(text) == Fraction(-(10**5000), 3**10000)
+
+    def test_split_conversion_matches_decimal(self):
+        # Above the split size the digits come from halves joined in
+        # decimal; they must be the digits Decimal(n) gives.
+        rng = random.Random(18)
+        for _ in range(40):
+            n = rng.getrandbits(rng.randint(1, 40_000)) * rng.choice((1, -1))
+            d = rng.getrandbits(rng.randint(1, 20_000)) or 1
+            q = Fraction(n, d)
+            assert fmt_rational(q) == (f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+                                       if q.denominator != 1 else str(Decimal(q.numerator)))
+        for bits in (4096, 4097, 8193, 65_536):
+            for n in ((1 << bits) - 1, 1 << bits, -(1 << bits) + 1):
+                assert fmt_rational(Fraction(n)) == str(Decimal(n))
 
 
 def _exact(text: str) -> Fraction:

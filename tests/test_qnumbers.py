@@ -369,6 +369,29 @@ class TestStructuralOrder:
         assert q_equal(x, y).is_no
         assert q_less(x, y, horizon=50).is_unknown
 
+    def test_arithmetic_keeps_interleave_slots(self):
+        # Reading any term would mean a sweep; structure alone decides.
+        reads = []
+
+        def counted(n):
+            reads.append(n)
+            return F(1, n)
+
+        leaf = from_function(counted, limit=F(0), strictly_positive=True)
+        x = cycle([standard(1), leaf])
+        y = cycle([standard(1), leaf])
+        assert q_equal(x - y, standard(0)).is_yes
+        assert invertible(x - y).is_no
+        # One interleaved operand: each slot meets the other operand whole.
+        assert q_equal(x * 2 + 1, cycle([standard(3), leaf * 2 + 1])).is_yes
+        assert q_less(-x, cycle([standard(0), standard(1)])).is_yes
+        assert reads == []
+
+    def test_interleaves_of_unequal_length_keep_no_slots(self):
+        x = cycle([standard(1), standard(2)]) + cycle([standard(0)] * 3)
+        assert x.components is None
+        assert x.prefix(4) == [1, 2, 1, 2]
+
 
 class TestDescriptorsSurviveEdits:
     """Each descriptor holds at all but finitely many indices, so edits

@@ -17,9 +17,11 @@ from plogic.formulas import (
     Or,
     is_tautology,
 )
-from plogic.proofs import Hypothesis, check_deduction
+from plogic.parsing import parse_formula
+from plogic.proofs import Hypothesis, check_deduction, format_proof, parse_proof
 from plogic.synthesis import (
     MAX_SWEEP_VARS,
+    _by_sweep,
     is_derivable,
     opaque_skeleton,
     substitute_atoms,
@@ -234,6 +236,68 @@ class TestSoundness:
         assert check_deduction(d).ok
         for sentence, _ in d.lines:
             assert is_tautology(sentence)
+
+
+def _sweep_proof(s):
+    return _by_sweep(s, *opaque_skeleton(s))
+
+
+class TestShorterRoutes:
+    """The deduction-theorem route and the contraposition template compete
+    with the sweep; the fewest lines win, and the sweep wins ties."""
+
+    CLASSICS = {
+        "A -> A": 5,
+        "A -> (B -> A)": 1,
+        "(A -> B) -> (!B -> !A)": 49,
+        "!!A -> A": 33,
+        "A -> !!A": 25,
+        "(!A -> A) -> A": 122,
+        "(A -> B) -> ((B -> C) -> (A -> C))": 15,
+        "(A -> (B -> C)) -> (B -> (A -> C))": 19,
+        "(A -> B) -> ((B -> C) -> ((C -> D) -> ((D -> E) -> ((E -> F) -> (A -> F)))))": 123,
+    }
+
+    @pytest.mark.parametrize("text", CLASSICS)
+    def test_classic_sizes(self, text):
+        d = _round_trip(parse_formula(text).ast)
+        assert len(d.lines) == self.CLASSICS[text]
+
+    def test_tie_keeps_the_sweep(self):
+        goal = parse_formula("(!A -> A) -> A").ast
+        proof = synthesize_proof(goal)
+        assert len(proof.lines) == 122
+        assert format_proof(proof) == format_proof(_sweep_proof(goal))
+
+    @pytest.mark.parametrize("goal", [
+        Implies(Implies(A, B), Implies(Implies(A, B), Implies(Implies(B, C), Implies(A, C)))),
+        Implies(A, Implies(Implies(A, B), Implies(A, Implies(Implies(B, C), C)))),
+        Implies(Implies(Or(A, C), Not(B)), Implies(Not(Not(B)), Not(Or(A, C)))),
+    ], ids=["repeated-antecedent", "repeated-later", "compound-contraposition"])
+    def test_text_round_trip(self, goal):
+        d = _round_trip(goal)
+        assert len(d.lines) < len(_sweep_proof(goal).lines)
+        parsed = parse_proof(format_proof(d))
+        assert str(parsed.goal) == str(goal)  # the parser numbers atoms anew
+        assert check_deduction(parsed).ok
+
+    def test_never_longer_than_the_sweep(self):
+        rng = random.Random(45)
+        shorter = 0
+        for _ in range(80):
+            x, y, z = (random_sentence(rng, [A, B, C], 3) for _ in range(3))
+            goal = rng.choice([Implies(x, Implies(Implies(x, y), y)),
+                               Implies(Implies(x, y), Implies(Not(y), Not(x))),
+                               Implies(x, Implies(y, z)),
+                               random_sentence(rng, [A, B, C], 5)])
+            if not is_derivable(goal):
+                continue
+            d, sweep = _round_trip(goal), _sweep_proof(goal)
+            assert len(d.lines) <= len(sweep.lines)
+            if len(d.lines) == len(sweep.lines):
+                assert d.lines == sweep.lines
+            shorter += len(d.lines) < len(sweep.lines)
+        assert shorter >= 10
 
 
 class TestDepth:
