@@ -252,6 +252,19 @@ def format_sentence(s: Sentence) -> str:
     return "".join(out)
 
 
+def _nonnegative(n: int) -> None:
+    if n < 0:
+        raise InvalidArgumentError(f"atom count {n} is negative")
+
+
+def _size(n: int) -> int:
+    """Number of minterms over n atoms, once 0 <= n <= MAX_ATOMS."""
+    _nonnegative(n)
+    if n > MAX_ATOMS:
+        raise TooManyAtomsError(f"{n} atoms exceed the cap of {MAX_ATOMS}")
+    return 1 << n
+
+
 @dataclass(frozen=True)
 class Valuation:
     """Total 0/1 assignment over the basic set; atom i reads bits[i]."""
@@ -271,6 +284,7 @@ class Valuation:
     @classmethod
     def of_minterm(cls, n: int, index: int) -> "Valuation":
         """Valuation whose minterm index is ``index``; atom 0 is the MSB."""
+        _nonnegative(n)
         if not 0 <= index < (1 << n):
             raise InvalidArgumentError(f"minterm index {index} out of range for n={n}")
         return cls(tuple((index >> (n - 1 - i)) & 1 for i in range(n)))
@@ -385,8 +399,6 @@ def semantic_equal(a: Sentence, b: Sentence) -> bool:
 
 def all_valuations(n: int) -> Iterable[Valuation]:
     """All 2^n valuations over a basic set of size n, in minterm order."""
-    if n > MAX_ATOMS:
-        raise TooManyAtomsError(f"{n} atoms exceed the cap of {MAX_ATOMS}")
-    for idx in range(1 << n):
+    for idx in range(_size(n)):
         yield Valuation.of_minterm(n, idx)
 

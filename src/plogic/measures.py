@@ -30,24 +30,11 @@ from .errors import (
     WidthMismatchError,
     ZeroConditionError,
 )
-from .formulas import (
-    MAX_ATOMS,
-    Sentence,
-    TooManyAtomsError,
-    Valuation,
-    truth_table,
-)
+from .formulas import Sentence, Valuation, _size, truth_table
 
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _size(n: int) -> int:
-    """Number of minterms over n atoms, once n is within the atom cap."""
-    if n > MAX_ATOMS:
-        raise TooManyAtomsError(f"{n} atoms exceed the cap of {MAX_ATOMS}")
-    return 1 << n
 
 
 def _over_lcm(masses: Sequence) -> tuple[list[int], int]:
@@ -122,13 +109,13 @@ class BFunction:
     @classmethod
     def from_weights(cls, n: int, weights: Mapping[int, Fraction]) -> "BFunction":
         """Masses for the listed minterm indices; the rest are zero."""
-        size = 1 << n
+        size = _size(n)
         masses = {}
         for idx, w in weights.items():
             if not 0 <= idx < size:
                 raise InvalidArgumentError(f"minterm index {idx} out of range for n={n}")
             masses[idx] = Fraction(w)
-        weights = [0] * _size(n)
+        weights = [0] * size
         nums, denom = _over_lcm(list(masses.values()))
         for idx, w in zip(masses, nums):
             weights[idx] = w

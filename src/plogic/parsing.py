@@ -9,28 +9,25 @@ The parser keeps explicit operand and operator stacks, so nesting depth
 is unbounded.  A character that starts no token is reported before any
 grammar error, wherever it stands.
 
-One linear pass before parsing interns every parenthesized group
-(hash-consing; Filliatre and Conchon, "Type-safe modular hash-consing",
-2006).  A group whose tokens were parsed before, in this formula or in an
-earlier line of the same proof, is not parsed again: its one immutable
-node is reused.
+Every node is hash-consed as it is built (Filliatre and Conchon,
+"Type-safe modular hash-consing", 2006): structurally equal subformulas
+of one call, or of all the lines of one proof, are one immutable node.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .errors import FormulaSyntaxError
-from .formulas import And, Atom, AtomRef, Implies, Not, Or, Sentence
+from .formulas import And, Atom, AtomRef, Not, Sentence
 from .formulas import format_sentence  # noqa: F401  (re-exported)
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|[!&|()]")
 _VALID_RE = re.compile(r"(?:\s+|[A-Za-z_][A-Za-z0-9_]*|->|[!&|()])*")
 
-# Binary operators: precedence (loosest first) and the tree they build.
-_BINARY = {"->": (0, Implies), "|": (1, Or), "&": (2, And)}
+# Binary operators and their precedence, loosest first.
+_BINARY = {"->": 0, "|": 1, "&": 2}
 
 
 @dataclass
@@ -50,114 +47,95 @@ def _column(text: str, k: int) -> int:
     return len(text) + 1
 
 
-def _groups_of(tokens: list[str], groups: dict) -> tuple[list, list[int]]:
-    """Intern every closed parenthesized group of ``tokens`` in ``groups``.
-
-    A group's key is the tuple of its direct tokens, each inner group
-    replaced by that group's integer id, so equal keys mean equal text and
-    no key is longer than its own direct children.  Returns two lists over
-    token indices: at each closed '(', its group id and the index of its
-    ')'.
-    """
-    ids: list[int | None] = [None] * len(tokens)
-    ends = [0] * len(tokens)
-    starts: list[int] = []  # per open '(': where its entry in ``direct`` is
-    direct: list = []  # per open '(': its index, then its direct tokens so far
-    for k, tok in enumerate(tokens):
-        if tok == "(":
-            starts.append(len(direct))
-            direct.append(k)
-        elif tok == ")":
-            if not starts:
-                continue  # unmatched: the parser reports it
-            s = starts.pop()
-            key = tuple(direct[s + 1:])
-            start = direct[s]
-            del direct[s:]
-            gid = groups.get(key)
-            if gid is None:
-                gid = groups[key] = len(groups)  # len only grows: a fresh id
-            ids[start] = gid
-            ends[start] = k
-            if starts:
-                direct.append(gid)
-        elif starts:
-            direct.append(tok)
-    return ids, ends
-
-
-def _parse(text: str, table: dict[str, Atom], groups: dict) -> Sentence:
+def _parse(text: str, table: dict[str, Atom], nodes: dict) -> Sentence:
     """Parse ``text`` to its tree, extending ``table`` with new atoms.
 
-    ``groups`` maps each group key (see ``_groups_of``) to its id, and
-    each id whose group has been parsed to its tree.  A group met again
-    reuses that tree and is skipped, so text that repeats a parenthesized
-    subformula parses it once, and the repeats share one immutable node.
+    Every node is interned in ``nodes`` as it is built: an atom under its
+    name, a negation under its child's id, and the tree of a binary
+    operator under the operator and its operands' ids.  A subformula met
+    again, in this text or in an earlier one parsed with the same
+    ``nodes``, is the one node built first.  The ids stay valid because
+    ``nodes`` holds every node it keys.
     """
     bad = _VALID_RE.match(text).end()
     if bad < len(text):
         raise FormulaSyntaxError(f"unexpected character {text[bad]!r}", bad + 1)
     tokens = _TOKEN_RE.findall(text)
-    ids, ends = _groups_of(tokens, groups) if "(" in text else ((), ())
     operands: list[Sentence] = []
     ops: list[str] = []  # "(", "!" and binary operators still waiting
-    opened: list[int | None] = []  # group id of each "(" still waiting
+    depth = 0  # "(" still waiting
+
+    def neg(child: Sentence) -> Sentence:
+        node = nodes.get(id(child))
+        if node is None:
+            node = nodes[id(child)] = Not(child)
+        return node
+
+    def conj(left: Sentence, right: Sentence) -> Sentence:
+        key = ("&", id(left), id(right))
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = And(left, right)
+        return node
 
     def reduce() -> None:
         right = operands.pop()
-        operands[-1] = _BINARY[ops.pop()][1](operands[-1], right)
+        op = ops.pop()
+        left = operands[-1]
+        key = (op, id(left), id(right))
+        node = nodes.get(key)
+        if node is None:
+            if op == "&":
+                node = And(left, right)
+            elif op == "|":
+                node = neg(conj(neg(left), neg(right)))
+            else:
+                node = neg(conj(left, neg(right)))
+            nodes[key] = node
+        operands[-1] = node
 
     want_operand = True
-    steps = enumerate(tokens)
-    for k, tok in steps:
+    for k, tok in enumerate(tokens):
         if want_operand:
-            if tok == "(":
-                gid = ids[k]
-                node = groups.get(gid)
-                if node is None:
-                    opened.append(gid)
-                    ops.append(tok)
-                    continue
-                skip = ends[k] - k
-                next(islice(steps, skip, skip), None)  # on past its ')'
-            elif tok == "!":
+            if tok == "(" or tok == "!":
+                depth += tok == "("
                 ops.append(tok)
                 continue
-            elif tok in _BINARY or tok == ")":
+            if tok in _BINARY or tok == ")":
                 raise FormulaSyntaxError("expected an atom, '!', or '('", _column(text, k))
-            else:
+            node = nodes.get(tok)
+            if node is None:
                 atom = table.get(tok)
                 if atom is None:
-                    atom = Atom(len(table), tok)
-                    table[tok] = atom
-                node = AtomRef(atom)
+                    atom = table[tok] = Atom(len(table), tok)
+                node = nodes[tok] = AtomRef(atom)
         elif tok in _BINARY:
-            bound = _BINARY[tok][0] + (tok == "->")  # -> is right-associative
-            while ops and ops[-1] != "(" and _BINARY[ops[-1]][0] >= bound:
+            bound = _BINARY[tok] + (tok == "->")  # -> is right-associative
+            while ops and ops[-1] != "(" and _BINARY[ops[-1]] >= bound:
                 reduce()
             ops.append(tok)
             want_operand = True
             continue
-        elif tok == ")" and opened:
+        elif tok == ")" and depth:
             while ops[-1] != "(":
                 reduce()
             ops.pop()
+            depth -= 1
             node = operands.pop()
-            groups[opened.pop()] = node
-        elif opened:
+        elif depth:
             raise FormulaSyntaxError("expected ')'", _column(text, k))
         else:
             raise FormulaSyntaxError(f"unexpected {tok!r}", _column(text, k))
         # An operand is complete: apply the negations waiting for it.
         while ops and ops[-1] == "!":
             ops.pop()
-            node = Not(node)
+            node = neg(node)
         operands.append(node)
         want_operand = False
     end = len(text) + 1
     if want_operand:
         raise FormulaSyntaxError("expected an atom, '!', or '('", end)
-    if opened:
+    if depth:
         raise FormulaSyntaxError("expected ')'", end)
     while ops:
         reduce()

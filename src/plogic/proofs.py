@@ -210,11 +210,10 @@ def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deducti
     """Parse proof text; hypothesis sentences are reconstructed from the
     ``hyp <k>`` lines, which must agree and use dense indices.
 
-    Every line reprints earlier formulas, so the lines share one group
-    table: each distinct parenthesized group is parsed once per proof, and
-    its repeats are one shared node."""
+    Every line reprints earlier formulas, so the lines share one node
+    table: each distinct subformula of the proof is one shared node."""
     table = atom_table if atom_table is not None else {}
-    groups: dict = {}
+    nodes: dict = {}
     lines: list[tuple[Sentence, Justification]] = []
     hyp_sentences: dict[int, Sentence] = {}
     count = 0
@@ -229,7 +228,7 @@ def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deducti
             raise ProofFormatError(
                 f"expected line number {count}, found {m.group('num')}", lineno)
         try:
-            sentence = _parse(m.group("formula"), table, groups)
+            sentence = _parse(m.group("formula"), table, nodes)
         except FormulaSyntaxError as exc:
             raise FormulaSyntaxError(exc.message, exc.column, lineno) from None
         if m.group("schema"):

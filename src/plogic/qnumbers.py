@@ -56,6 +56,14 @@ def _fresh_leaf() -> _Poly:
     return {((next(_leaf_ids), 1),): Fraction(1)}
 
 
+@functools.cache
+def _reciprocal_leaf(poly: frozenset) -> _Poly:
+    """The leaf of 1/x for every x whose polynomial has these items.  Two
+    such values agree at all but finitely many indices, and so do their
+    reciprocals."""
+    return _fresh_leaf()
+
+
 def _poly_add(p: _Poly, q: _Poly) -> _Poly:
     out = dict(p)
     for mono, c in q.items():
@@ -297,7 +305,7 @@ def _lift_reciprocal(x: QNumber) -> QNumber:
     elif x.limit == 0 and x.strictly_positive:
         limit = INFINITE
     std = x.standard  # never zero: invertible said yes
-    poly = _fresh_leaf() if std is None else _const_poly(1 / std)
+    poly = _reciprocal_leaf(frozenset(x.poly.items())) if std is None else _const_poly(1 / std)
     return QNumber(seq, limit=limit, strictly_positive=x.strictly_positive,
                    poly=poly)
 

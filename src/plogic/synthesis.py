@@ -16,8 +16,8 @@ conjunction into a fresh variable maps each derivable sentence to a
 tautology over the extended variable set (axiom instances stay axiom
 instances and modus ponens steps stay valid under the abstraction), so
 a sentence whose abstraction is falsifiable has no proof at all.
-Conversely, when the abstraction is a tautology the synthesizer proves
-it variable-by-variable and substitutes the opaque subtrees back in.
+Conversely, when the abstraction is a tautology the synthesizer sweeps
+the goal itself over its opaque units, each unit a leaf of the sweep.
 
 The steps that follow the goal's structure (``derive`` and the
 deduction-theorem transform ``dt``) are generators driven by one loop,
@@ -49,11 +49,18 @@ from .proofs import Axiom, Deduction, Hypothesis, ModusPonens, instantiate, is_a
 #: Operation contract: refuse goals with more distinct atoms than this.
 MAX_GOAL_ATOMS = 6
 
-#: Internal cap on abstraction variables (each one doubles the case sweep).
+#: Internal cap on opaque units (each one doubles the case sweep).
 MAX_SWEEP_VARS = 9
 
 # Placeholder justification for working hypotheses; never survives extraction.
 _HYP = Hypothesis(-1)
+
+
+def _is_unit(node: Sentence) -> bool:
+    """True for the opaque units: atoms, and conjunctions whose right
+    operand is not a negation."""
+    t = type(node)
+    return t is AtomRef or (t is And and type(node.right) is not Not)
 
 
 def opaque_skeleton(s: Sentence) -> tuple[Sentence, dict[int, Sentence]]:
@@ -67,8 +74,7 @@ def opaque_skeleton(s: Sentence) -> tuple[Sentence, dict[int, Sentence]]:
     subtree_of: dict[int, Sentence] = {}
 
     def leaf(node: Sentence) -> AtomRef | None:
-        t = type(node)
-        if t is Not or (t is And and type(node.right) is Not):
+        if not _is_unit(node):
             return None
         ref = var_of.get(node)  # the fold meets units left to right
         if ref is None:
@@ -92,16 +98,11 @@ def is_derivable(s: Sentence) -> bool:
 
 def substitute_atoms(s: Sentence, mapping: Mapping[int, Sentence]) -> Sentence:
     """Replace every atom by its image under ``mapping`` (total on s)."""
-    return _substitute((s,), mapping)[0]
-
-
-def _substitute(roots: Sequence[Sentence], mapping: Mapping[int, Sentence]) -> list[Sentence]:
-    """``substitute_atoms`` on each root, sharing one walk of the DAG."""
 
     def leaf(node: Sentence) -> Sentence | None:
         return mapping[node.atom.id] if type(node) is AtomRef else None
 
-    return _fold(roots, leaf, Not, And)
+    return _fold((s,), leaf, Not, And)[0]
 
 
 def _run(steps: Generator) -> int:
@@ -322,44 +323,43 @@ class _Builder:
 
     # -- per-valuation derivation ---------------------------------------------
 
-    def tabulate(self, skeleton: Sentence, variables: list[Atom]) -> None:
-        """Give every node under ``skeleton`` (by id) its truth table over
-        the sweep variables (the first most significant) and the mask of
-        the minterm-index bits that its atoms occupy."""
-        k = len(variables)
-        position = {atom: p for p, atom in enumerate(variables)}
+    def tabulate(self, goal: Sentence, units: Sequence[Sentence]) -> None:
+        """Give every node of ``goal`` above its units (by id) its truth
+        table over the units (the first most significant) and the mask
+        of the minterm-index bits that its units occupy."""
+        k = len(units)
+        position = {unit: p for p, unit in enumerate(units)}
         nodes: list[Sentence] = []
 
         def collect(node: Sentence) -> Sentence | None:
             nodes.append(node)
-            return node if type(node) is AtomRef else None
+            return node if _is_unit(node) else None
 
         def leaf(node: Sentence) -> tuple[int, int] | None:
-            if type(node) is not AtomRef:
+            if not _is_unit(node):
                 return None
-            p = position[node.atom]
+            p = position[node]
             return _atom_mask(p, k), 1 << (k - 1 - p)
 
         full = (1 << (1 << k)) - 1
-        _fold((skeleton,), collect, None, None)
+        _fold((goal,), collect, None, None)
         values = _fold(nodes, leaf, lambda c: (full ^ c[0], c[1]),
                        lambda a, b: (a[0] & b[0], a[1] | b[1]))
         self._tables = dict(zip(map(id, nodes), values))
 
     def derive(self, node: Sentence, idx: int) -> Generator:
         """Steps to the line proving ``node`` when it holds under minterm
-        ``idx`` of the tabulated variables, else its negation, from the
+        ``idx`` of the tabulated units, else its negation, from the
         literal hypotheses of ``idx``."""
         tables = self._tables
-        table, atom_bits = tables[id(node)]
-        key = (node, idx & atom_bits)
+        table, unit_bits = tables[id(node)]
+        key = (node, idx & unit_bits)
         got = self._derive_memo.get(key)
         if got is not None:
             return got
-        t = type(node)
-        if t is AtomRef:
+        if _is_unit(node):
             res = self.hyp(node if table >> idx & 1 else Not(node))
-        elif t is Not:
+        elif type(node) is Not:
             c = node.child
             i = yield self.derive(c, idx)
             if tables[id(c)][0] >> idx & 1:
@@ -368,8 +368,7 @@ class _Builder:
                 res = i  # the line already proves !c, i.e. node
         else:
             x = node.left
-            assert type(node.right) is Not, "conjunction must be implication-shaped"
-            z = node.right.child
+            z = node.right.child  # node is x & !z, i.e. !(x -> z)
             if not tables[id(x)][0] >> idx & 1:
                 ix = yield self.derive(x, idx)  # !x
                 res = self.mp(self.exfalso(x, z), ix)  # x -> z refutes node
@@ -401,24 +400,23 @@ class _Builder:
         a3 = self.axiom("A3", {"A": p, "B": g})
         return self.mp(self.mp(a3, m1), m5)
 
-    def eliminate(self, variables: list[Atom], goal: Sentence, i: int = 0, idx: int = 0) -> int:
-        """Derive ``goal`` with variables i.. discharged; variable j < i is
-        fixed to bit i - 1 - j of ``idx``."""
-        if i == len(variables):
+    def eliminate(self, units: Sequence[Sentence], goal: Sentence,
+                  i: int = 0, idx: int = 0) -> int:
+        """Derive ``goal`` with units i.. discharged; unit j < i is fixed
+        to bit i - 1 - j of ``idx``."""
+        if i == len(units):
             return _run(self.derive(goal, idx))
-        ref = AtomRef(variables[i])
-        t = self.eliminate(variables, goal, i + 1, idx << 1 | 1)
-        f = self.eliminate(variables, goal, i + 1, idx << 1)
-        line_pg = self.dt(t, ref)
-        line_npg = self.dt(f, Not(ref))
-        return self.case_split(ref, goal, line_pg, line_npg)
+        unit = units[i]
+        t = self.eliminate(units, goal, i + 1, idx << 1 | 1)
+        f = self.eliminate(units, goal, i + 1, idx << 1)
+        line_pg = self.dt(t, unit)
+        line_npg = self.dt(f, Not(unit))
+        return self.case_split(unit, goal, line_pg, line_npg)
 
     # -- extraction -------------------------------------------------------------
 
-    def extract(self, root: int, goal: Sentence,
-                mapping: Mapping[int, Sentence] | None = None) -> Deduction:
-        """Prune to the lines reachable from ``root``, renumber, and
-        optionally substitute abstraction variables back."""
+    def extract(self, root: int, goal: Sentence) -> Deduction:
+        """Prune to the lines reachable from ``root`` and renumber."""
         assert not self.hyps[root], "root still depends on working hypotheses"
         keep = set()
         stack = [root]
@@ -441,15 +439,6 @@ class _Builder:
             if type(j) is ModusPonens:
                 j = ModusPonens(remap[j.major], remap[j.minor])
             justs.append(j)
-        if mapping is not None:
-            # One walk rewrites every line and every binding.
-            axioms = [j for j in justs if type(j) is Axiom and j.bindings is not None]
-            images = iter(_substitute(
-                sents + [v for j in axioms for v in j.bindings.values()], mapping))
-            sents = [next(images) for _ in sents]
-            rebuilt = {id(j): Axiom(j.schema, {k: next(images) for k in j.bindings})
-                       for j in axioms}
-            justs = [rebuilt.get(id(j), j) for j in justs]
         assert sents[-1] == goal
         return Deduction((), tuple(zip(sents, justs)), goal)
 
@@ -507,21 +496,16 @@ def synthesize_proof(s: Sentence) -> Deduction:
         raise TooManyAtomsError(
             f"synthesis would sweep 2^{k} cases; the cap is 2^{MAX_SWEEP_VARS}")
 
-    proofs = (_by_sweep(s, skeleton, subtree_of), _by_deduction(s), _by_contraposition(s))
+    proofs = (_by_sweep(s, list(subtree_of.values())), _by_deduction(s), _by_contraposition(s))
     return min((d for d in proofs if d is not None), key=lambda d: len(d.lines))
 
 
-def _by_sweep(s: Sentence, skeleton: Sentence, subtree_of: Mapping[int, Sentence]) -> Deduction:
-    """Kalmár's sweep over the opaque units.  When every unit is an atom,
-    the goal is its own skeleton: sweep its atoms, and substitute nothing."""
-    variables = [u.atom for u in subtree_of.values() if type(u) is AtomRef]
-    target, mapping = s, None
-    if len(variables) < len(subtree_of):
-        variables = [Atom(i, f"_v{i}") for i in range(len(subtree_of))]
-        target, mapping = skeleton, subtree_of
+def _by_sweep(goal: Sentence, units: Sequence[Sentence]) -> Deduction:
+    """Kalmár's sweep of ``goal`` over its opaque units, in the order of
+    ``opaque_skeleton``: each unit is a leaf that the hypotheses fix."""
     builder = _Builder()
-    builder.tabulate(target, variables)
-    return builder.extract(builder.eliminate(variables, target), s, mapping)
+    builder.tabulate(goal, units)
+    return builder.extract(builder.eliminate(units, goal), goal)
 
 
 def _by_deduction(goal: Sentence) -> Deduction | None:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exhaustive_sentences, make_atoms, random_sentence, reference_value
-from plogic.errors import AtomOutOfRangeError
+from plogic.errors import AtomOutOfRangeError, InvalidArgumentError
 from plogic.formulas import (
     And,
     Atom,
@@ -173,6 +173,12 @@ class TestTruthTableConventions:
                 shift = m - 1 - position
                 want = sum(1 << j for j in range(1 << m) if (j >> shift) & 1)
                 assert _atom_mask(position, m) == want, (position, m)
+
+    def test_negative_atom_count_is_an_argument_error(self):
+        with pytest.raises(InvalidArgumentError, match="atom count -1 is negative"):
+            Valuation.of_minterm(-1, 0)
+        with pytest.raises(InvalidArgumentError, match="atom count -1 is negative"):
+            list(all_valuations(-1))
 
     def test_atom_bookkeeping(self):
         s = And(C, Not(A))

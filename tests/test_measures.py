@@ -20,6 +20,7 @@ from conftest import (
 )
 from plogic.errors import (
     DuplicateMintermError,
+    InvalidArgumentError,
     NegativeMassError,
     SumNotOneError,
     TooManyAtomsError,
@@ -482,6 +483,16 @@ class TestIntegerWeights:
             BFunction.from_weights(MAX_ATOMS + 1, {0: 1})
         with pytest.raises(TooManyAtomsError):
             from_valuation(Valuation((0,) * (MAX_ATOMS + 1)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: BFunction(-1, ()),
+        lambda: BFunction.uniform(-1),
+        lambda: BFunction.from_weights(-1, {}),
+        lambda: BFunction.from_weights(-1, {0: 1}),
+    ], ids=["init", "uniform", "from_weights", "from_weights-nonempty"])
+    def test_negative_atom_count_is_an_argument_error(self, build):
+        with pytest.raises(InvalidArgumentError, match="atom count -1 is negative"):
+            build()
 
 
 class TestAtTheAtomCap:

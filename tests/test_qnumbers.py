@@ -387,6 +387,22 @@ class TestStructuralOrder:
         assert q_less(-x, cycle([standard(0), standard(1)])).is_yes
         assert reads == []
 
+    def test_reciprocals_of_one_polynomial_are_one_leaf(self):
+        # Equal operands give equal reciprocals: structure decides, and no
+        # term is read.
+        reads = []
+
+        def counted(n):
+            reads.append(n)
+            return F(1, n)
+
+        leaf = from_function(counted, limit=F(0), strictly_positive=True)
+        assert q_equal(reciprocal(leaf), reciprocal(leaf)).is_yes
+        assert q_equal(reciprocal(leaf + 1), reciprocal(1 + leaf)).is_yes
+        assert q_less(reciprocal(leaf), reciprocal(leaf) + 1).is_yes
+        assert reads == []
+        assert q_equal(reciprocal(harmonic()), reciprocal(harmonic())).is_yes
+
     def test_interleaves_of_unequal_length_keep_no_slots(self):
         x = cycle([standard(1), standard(2)]) + cycle([standard(0)] * 3)
         assert x.components is None

@@ -18,7 +18,7 @@ from plogic.formulas import (
     is_tautology,
 )
 from plogic.parsing import parse_formula
-from plogic.proofs import Hypothesis, check_deduction, format_proof, parse_proof
+from plogic.proofs import Axiom, Hypothesis, check_deduction, format_proof, parse_proof
 from plogic.synthesis import (
     MAX_SWEEP_VARS,
     _by_sweep,
@@ -239,7 +239,7 @@ class TestSoundness:
 
 
 def _sweep_proof(s):
-    return _by_sweep(s, *opaque_skeleton(s))
+    return _by_sweep(s, list(opaque_skeleton(s)[1].values()))
 
 
 class TestShorterRoutes:
@@ -298,6 +298,70 @@ class TestShorterRoutes:
                 assert d.lines == sweep.lines
             shorter += len(d.lines) < len(sweep.lines)
         assert shorter >= 10
+
+
+def _distinct_nodes(sentences):
+    """Every distinct node object under ``sentences``."""
+    seen = {}
+    stack = list(sentences)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if type(node) is Not:
+                stack.append(node.child)
+            elif type(node) is And:
+                stack += (node.left, node.right)
+    return list(seen.values())
+
+
+class TestParsedProofSharing:
+    """A parsed proof holds each distinct subformula as one node object."""
+
+    @pytest.mark.parametrize("text", [
+        *TestShorterRoutes.CLASSICS,
+        pytest.param("!" * 200 + "A | !A", id="negations-200"),
+    ])
+    def test_no_two_nodes_are_equal(self, text):
+        proof = format_proof(synthesize_proof(parse_formula(text).ast))
+        nodes = _distinct_nodes(sentence for sentence, _ in parse_proof(proof).lines)
+        assert len(set(nodes)) == len(nodes)
+
+
+class TestSweepInPlace:
+    """The sweep proves the goal on its own nodes, each opaque unit a leaf.
+    Line by line, that is its proof of the skeleton with the units put
+    back for the skeleton's variables."""
+
+    @staticmethod
+    def _goals(rng):
+        while True:
+            x, y = (And(random_sentence(rng, [A, B, C], 3), rng.choice([A, B, C, And(A, B)]))
+                    for _ in range(2))
+            z = random_sentence(rng, [A, B, x], 3)
+            yield rng.choice([Implies(x, Implies(y, x)),
+                              Implies(Implies(x, y), Implies(Not(y), Not(x))),
+                              Implies(Implies(Not(z), z), z),
+                              Or(z, Not(z)),
+                              random_sentence(rng, [A, x, y], 5)])
+
+    def test_matches_the_skeleton_proof_with_units_substituted(self):
+        checked = 0
+        for goal in self._goals(random.Random(19)):
+            skeleton, subtree_of = opaque_skeleton(goal)
+            if all(type(u) is AtomRef for u in subtree_of.values()) or not is_derivable(goal):
+                continue
+            proof = _sweep_proof(goal)
+            want = []
+            for sentence, just in _sweep_proof(skeleton).lines:
+                if type(just) is Axiom:
+                    just = Axiom(just.schema, {k: substitute_atoms(v, subtree_of)
+                                               for k, v in just.bindings.items()})
+                want.append((substitute_atoms(sentence, subtree_of), just))
+            assert list(proof.lines) == want
+            checked += 1
+            if checked == 30:
+                break
 
 
 class TestDepth:
