@@ -127,9 +127,17 @@ class CommandReport:
         return self.status == "ok"
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing exponent notation: ``1e-99999999``
+    would build its power of ten in full."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent in {text!r}")
+    return Fraction(text)
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
 
@@ -256,7 +264,7 @@ def _parse_seq(words: list[str]) -> qnumbers.QNumber:
         if len(words) != 2:
             raise PlogicError("const needs a rational, e.g. const 2/3")
         try:
-            return qnumbers.standard(Fraction(words[1]))
+            return qnumbers.standard(_fraction(words[1]))
         except (ValueError, ZeroDivisionError):
             raise PlogicError(f"bad rational {words[1]!r}") from None
     if kind == "recip-n":

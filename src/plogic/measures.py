@@ -243,6 +243,8 @@ def load_distribution(text: str | Iterable[str]) -> BFunction:
         slot = slots.get(value)
         if slot is None:
             try:
+                if "e" in value or "E" in value:  # 1e-99999999 builds 10**99999999
+                    raise ValueError(f"exponent in {value!r}")
                 mass = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 raise WidthMismatchError(

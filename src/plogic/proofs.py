@@ -35,8 +35,6 @@ _METAVARIABLES = {name: AtomRef(Atom(-1 - i, name)) for i, name in enumerate("AB
 
 SCHEMATA = {name: build(_METAVARIABLES) for name, build in _BUILD.items()}
 
-SCHEMA_ORDER = ("A1", "A2", "A3")
-
 
 def match_schema(name: str, s: Sentence) -> dict[str, Sentence] | None:
     """Bindings under which the named schema instantiates to ``s``, if any.
@@ -60,9 +58,9 @@ def match_schema(name: str, s: Sentence) -> dict[str, Sentence] | None:
 
 
 def is_axiom_instance(s: Sentence) -> tuple[str, dict[str, Sentence]] | None:
-    """First schema (in the fixed order A1, A2, A3) matching ``s``, with the
-    substitution witnessing the match."""
-    for name in SCHEMA_ORDER:
+    """First schema (in the order of SCHEMATA: A1, A2, A3) matching ``s``,
+    with the substitution witnessing the match."""
+    for name in SCHEMATA:
         bindings = match_schema(name, s)
         if bindings is not None:
             return name, bindings
@@ -79,11 +77,9 @@ def instantiate(name: str, bindings: Mapping[str, Sentence]) -> Sentence:
 
 @dataclass(frozen=True)
 class Axiom:
-    """Line justified as a schema instance; bindings are optional and, when
-    present, are verified by substitution."""
+    """Line justified as an instance of the named schema."""
 
     schema: str
-    bindings: Mapping[str, Sentence] | None = None
 
 
 @dataclass(frozen=True)
@@ -132,17 +128,7 @@ def check_deduction(d: Deduction) -> CheckReport:
             if just.schema not in SCHEMATA:
                 return _fail(line_no, "MalformedJustification",
                              f"unknown schema {just.schema!r}")
-            if just.bindings is not None:
-                try:
-                    built = instantiate(just.schema, just.bindings)
-                except KeyError as missing:
-                    return _fail(line_no, "MalformedJustification",
-                                 f"bindings lack metavariable {missing}")
-                if built != sentence:
-                    return _fail(line_no, "NotAxiomInstance",
-                                 f"bindings do not instantiate {just.schema} "
-                                 f"to the line's sentence")
-            elif match_schema(just.schema, sentence) is None:
+            if match_schema(just.schema, sentence) is None:
                 return _fail(line_no, "NotAxiomInstance",
                              f"sentence does not match schema {just.schema}")
         elif isinstance(just, Hypothesis):
@@ -206,6 +192,15 @@ def format_proof(d: Deduction) -> str:
     return "\n".join(out) + "\n"
 
 
+def _numeral(digits: str, lineno: int) -> int:
+    """The value of a numeral on proof line ``lineno``; one too long for
+    ``int`` to convert is a format error of that line."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ProofFormatError(f"numeral of {len(digits)} digits is too long", lineno) from None
+
+
 def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deduction:
     """Parse proof text; hypothesis sentences are reconstructed from the
     ``hyp <k>`` lines, which must agree and use dense indices.
@@ -224,7 +219,7 @@ def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deducti
         if m is None:
             raise ProofFormatError("unrecognized proof line", lineno)
         count += 1
-        if int(m.group("num")) != count:
+        if _numeral(m.group("num"), lineno) != count:
             raise ProofFormatError(
                 f"expected line number {count}, found {m.group('num')}", lineno)
         try:
@@ -234,7 +229,7 @@ def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deducti
         if m.group("schema"):
             just: Justification = Axiom(m.group("schema"))
         elif m.group("hyp"):
-            k = int(m.group("hyp"))
+            k = _numeral(m.group("hyp"), lineno)
             seen = hyp_sentences.get(k)
             if seen is not None and seen != sentence:
                 raise ProofFormatError(
@@ -242,7 +237,8 @@ def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deducti
             hyp_sentences[k] = sentence
             just = Hypothesis(k)
         else:
-            just = ModusPonens(int(m.group("major")) - 1, int(m.group("minor")) - 1)
+            just = ModusPonens(_numeral(m.group("major"), lineno) - 1,
+                               _numeral(m.group("minor"), lineno) - 1)
         lines.append((sentence, just))
     if not lines:
         raise ProofFormatError("proof text contains no lines")

@@ -18,6 +18,8 @@ instances and modus ponens steps stay valid under the abstraction), so
 a sentence whose abstraction is falsifiable has no proof at all.
 Conversely, when the abstraction is a tautology the synthesizer sweeps
 the goal itself over its opaque units, each unit a leaf of the sweep.
+The check, its refusal's witness and the sweep read one set of truth
+tables over the units: the goal's table is its abstraction's.
 
 The steps that follow the goal's structure (``derive`` and the
 deduction-theorem transform ``dt``) are generators driven by one loop,
@@ -38,11 +40,11 @@ from .formulas import (
     Sentence,
     _atom_mask,
     _fold,
+    _size,
     as_implication,
     atom_ids,
     format_sentence,
     is_tautology,
-    truth_table,
 )
 from .proofs import Axiom, Deduction, Hypothesis, ModusPonens, instantiate, is_axiom_instance
 
@@ -87,13 +89,35 @@ def opaque_skeleton(s: Sentence) -> tuple[Sentence, dict[int, Sentence]]:
     return _fold((s,), leaf, Not, And)[0], subtree_of
 
 
+def _unit_tables(goal: Sentence) -> tuple[list[Sentence], dict[int, tuple[int, int]]]:
+    """The opaque units of ``goal`` in the order of ``opaque_skeleton``,
+    and by node id each node's truth table over them (the first most
+    significant) with the mask of the minterm-index bits its units
+    occupy.  Past the sweep's cap only the goal's entry is kept."""
+    nodes: list[Sentence] = []
+
+    def collect(node: Sentence) -> Sentence | None:
+        nodes.append(node)
+        return node if _is_unit(node) else None
+
+    _fold((goal,), collect, None, None)
+    units = list(dict.fromkeys(filter(_is_unit, nodes)))  # as the fold meets them
+    k = len(units)
+    full = (1 << _size(k)) - 1
+    leaves = {unit: (_atom_mask(p, k), 1 << (k - 1 - p)) for p, unit in enumerate(units)}
+    roots = nodes if k <= MAX_SWEEP_VARS else (goal,)
+    values = _fold(roots, leaves.get, lambda c: (full ^ c[0], c[1]),
+                   lambda a, b: (a[0] & b[0], a[1] | b[1]))
+    return units, dict(zip(map(id, roots), values))
+
+
 def is_derivable(s: Sentence) -> bool:
     """True iff some hypothesis-free deduction proves ``s``: the sentence
     must be a tautology and stay one after opaque-conjunction abstraction."""
     if not is_tautology(s):
         return False
-    skeleton, _ = opaque_skeleton(s)
-    return is_tautology(skeleton)
+    units, tables = _unit_tables(s)
+    return tables[id(s)][0] == (1 << (1 << len(units))) - 1
 
 
 def substitute_atoms(s: Sentence, mapping: Mapping[int, Sentence]) -> Sentence:
@@ -132,7 +156,7 @@ class _Builder:
     only where their hypothesis set is available.
     """
 
-    def __init__(self):
+    def __init__(self, tables: Mapping[int, tuple[int, int]] | None = None):
         self.sents: list[Sentence] = []
         self.justs: list = []
         self.hyps: list[frozenset] = []
@@ -141,7 +165,7 @@ class _Builder:
         self._hyp_lines: dict[Sentence, int] = {}
         self._dt_memo: dict[tuple[int, Sentence], int] = {}
         self._derive_memo: dict = {}
-        self._tables: dict[int, tuple[int, int]] = {}
+        self._tables = tables  # node id -> (table, unit bits), for ``derive``
 
     # -- line primitives ----------------------------------------------------
 
@@ -160,7 +184,7 @@ class _Builder:
         sent = instantiate(name, bindings)
         idx = self._closed.get(sent)
         if idx is None:
-            idx = self._append(sent, Axiom(name, dict(bindings)), frozenset())
+            idx = self._append(sent, Axiom(name), frozenset())
         return idx
 
     def hyp(self, literal: Sentence) -> int:
@@ -323,34 +347,10 @@ class _Builder:
 
     # -- per-valuation derivation ---------------------------------------------
 
-    def tabulate(self, goal: Sentence, units: Sequence[Sentence]) -> None:
-        """Give every node of ``goal`` above its units (by id) its truth
-        table over the units (the first most significant) and the mask
-        of the minterm-index bits that its units occupy."""
-        k = len(units)
-        position = {unit: p for p, unit in enumerate(units)}
-        nodes: list[Sentence] = []
-
-        def collect(node: Sentence) -> Sentence | None:
-            nodes.append(node)
-            return node if _is_unit(node) else None
-
-        def leaf(node: Sentence) -> tuple[int, int] | None:
-            if not _is_unit(node):
-                return None
-            p = position[node]
-            return _atom_mask(p, k), 1 << (k - 1 - p)
-
-        full = (1 << (1 << k)) - 1
-        _fold((goal,), collect, None, None)
-        values = _fold(nodes, leaf, lambda c: (full ^ c[0], c[1]),
-                       lambda a, b: (a[0] & b[0], a[1] | b[1]))
-        self._tables = dict(zip(map(id, nodes), values))
-
     def derive(self, node: Sentence, idx: int) -> Generator:
         """Steps to the line proving ``node`` when it holds under minterm
-        ``idx`` of the tabulated units, else its negation, from the
-        literal hypotheses of ``idx``."""
+        ``idx`` of the goal's units, else its negation, from the literal
+        hypotheses of ``idx``."""
         tables = self._tables
         table, unit_bits = tables[id(node)]
         key = (node, idx & unit_bits)
@@ -443,19 +443,11 @@ class _Builder:
         return Deduction((), tuple(zip(sents, justs)), goal)
 
 
-def _falsifying_assignment(skeleton: Sentence,
-                           subtree_of: Mapping[int, Sentence]) -> dict[str, int]:
-    ids = sorted(atom_ids(skeleton))
-    table = truth_table(skeleton, ids)
-    size = 1 << len(ids)
-    index = next(i for i in range(size) if not (table >> i) & 1)
-    assignment = {}
-    for pos, vid in enumerate(ids):
-        bit = (index >> (len(ids) - 1 - pos)) & 1
-        sub = subtree_of[vid]
-        name = sub.atom.name if type(sub) is AtomRef else f"({format_sentence(sub)})"
-        assignment[name] = bit
-    return assignment
+def _falsifying_assignment(table: int, units: Sequence[Sentence]) -> dict[str, int]:
+    """The units' bits at the first minterm where ``table`` reads 0."""
+    k, index = len(units), ((table + 1) & ~table).bit_length() - 1
+    return {unit.atom.name if type(unit) is AtomRef else f"({format_sentence(unit)})":
+            (index >> (k - 1 - pos)) & 1 for pos, unit in enumerate(units)}
 
 
 def synthesize_proof(s: Sentence) -> Deduction:
@@ -473,38 +465,38 @@ def synthesize_proof(s: Sentence) -> Deduction:
 
     instance = is_axiom_instance(s)
     if instance is not None:
-        name, bindings = instance
-        return Deduction((), ((s, Axiom(name, bindings)),), s)
+        return Deduction((), ((s, Axiom(instance[0])),), s)
 
     imp = as_implication(s)
     if imp is not None and imp[0] == imp[1]:
         builder = _Builder()
         return builder.extract(builder.l1(imp[0]), s)
 
-    skeleton, subtree_of = opaque_skeleton(s)
-    if not is_tautology(skeleton):
-        assignment = _falsifying_assignment(skeleton, subtree_of)
+    units, tables = _unit_tables(s)
+    k = len(units)
+    table = tables[id(s)][0]
+    if table != (1 << (1 << k)) - 1:
+        assignment = _falsifying_assignment(table, units)
         raise NotDerivableError(
             f"{format_sentence(s)} is a tautology but not derivable from the "
             f"axiom schemata: treating opaque conjunctions as unanalyzed "
             f"units, the goal fails under {assignment}",
-            abstracted=skeleton,
+            abstracted=opaque_skeleton(s)[0],
             assignment=assignment,
         )
-    k = len(subtree_of)
     if k > MAX_SWEEP_VARS:
         raise TooManyAtomsError(
             f"synthesis would sweep 2^{k} cases; the cap is 2^{MAX_SWEEP_VARS}")
 
-    proofs = (_by_sweep(s, list(subtree_of.values())), _by_deduction(s), _by_contraposition(s))
+    proofs = (_by_sweep(s, units, tables), _by_deduction(s), _by_contraposition(s))
     return min((d for d in proofs if d is not None), key=lambda d: len(d.lines))
 
 
-def _by_sweep(goal: Sentence, units: Sequence[Sentence]) -> Deduction:
-    """Kalmár's sweep of ``goal`` over its opaque units, in the order of
-    ``opaque_skeleton``: each unit is a leaf that the hypotheses fix."""
-    builder = _Builder()
-    builder.tabulate(goal, units)
+def _by_sweep(goal: Sentence, units: Sequence[Sentence],
+              tables: Mapping[int, tuple[int, int]]) -> Deduction:
+    """Kalmár's sweep of ``goal`` over its opaque units, as ``_unit_tables``
+    gives them: each unit is a leaf that the hypotheses fix."""
+    builder = _Builder(tables)
     return builder.extract(builder.eliminate(units, goal), goal)
 
 

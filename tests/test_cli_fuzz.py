@@ -22,6 +22,7 @@ BAD_DISTRIBUTIONS = {
     "1 1/2\n0 1/4\n": "masses sum to 3/4, not 1",
     "0" * 21 + " 1\n": "21 atoms exceed the cap of 20",
     "\n \n": "distribution file has no minterm lines",
+    "0 1e-99999999\n1 1\n": "line 1: bad rational '1e-99999999'",
 }
 GOOD_DISTRIBUTIONS = [
     "11 1/4\n10 1/4\n01 1/4\n00 1/4\n",
@@ -32,7 +33,13 @@ FORMULAS = ["A", "!A", "B", "A & B", "A | !A", "A -> B", "A & !A", "!!C | B",
             "(A -> B) -> (!B -> !A)", "A -> A"]
 FORMULA_TEXT = st.sampled_from(FORMULAS) | st.text("AB!&|-<>() x", max_size=10)
 RATIONALS = st.sampled_from(["0", "1", "1/2", "1/3", "2/7", "0.25", "3/2",
-                             "-1/2", "1/0", "x", ""])
+                             "-1/2", "1/0", "x", "", "1e-99999999"])
+# Proofs citing numerals longer than int() converts from text.
+LONG_NUMERAL_PROOFS = {
+    "hyp": "1. A ; hyp " + "9" * 5000 + "\n",
+    "number": "1" * 5000 + ". A ; hyp 0\n",
+    "mp": "1. A ; hyp 0\n2. A -> A ; hyp 1\n3. A ; mp 2 " + "1" * 4400 + "\n",
+}
 INTS = st.integers(-2, 12).map(str) | st.sampled_from(["x", "", "1.5"])
 JUNK = st.sampled_from(["", "-", "--", "--bogus", "--r", "--dist", ",", "x", "1/0",
                         "-h", "\x00", "A &"])
@@ -55,7 +62,8 @@ def files(tmp_path_factory):
            "nul\x00path"],
         "proof": [write("proof.txt", proof),
                   write("tampered.txt", "1. A -> B -> A ; axiom A2\n"),
-                  write("garbage.txt", "hello\n"), str(root / "missing")],
+                  write("garbage.txt", "hello\n"), str(root / "missing")]
+        + [write(f"long_{name}.txt", text) for name, text in LONG_NUMERAL_PROOFS.items()],
         "set": [write("die.txt", "A & B\nA & !B\n!A & B\n!A & !B\n"),
                 write("mixed.txt", "A & B\nA\n"), write("empty.txt", ""),
                 str(root / "missing")],
@@ -169,11 +177,23 @@ def test_run_keeps_the_cli_contract(files, data):
     ["qnum", "lt", ",", "lin"],
     ["prob", "A", "--dist", "nul\x00path"],
     ["classical", "--set", "nul\x00path", "--event", "A"],
+    ["bernoulli", "--r", "3", "--p", "1e-99999999"],
+    ["qnum", "eq", "const", "1e99999999", ",", "const", "1"],
 ])
 def test_fuzzed_crashes_are_error_lines(argv):
     report = run(argv)
     assert report.status == "error"
     assert len(report.lines) == 1 and report.lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("name", LONG_NUMERAL_PROOFS)
+def test_long_numeral_is_an_error_line(tmp_path, name):
+    proof = tmp_path / "proof.txt"
+    proof.write_text(LONG_NUMERAL_PROOFS[name])
+    report = run(["check", str(proof)])
+    assert report.status == "error"
+    assert len(report.lines) == 1
+    assert report.lines[0].endswith(" digits is too long")
 
 
 def test_unreadable_text_is_an_error_line(tmp_path):
@@ -186,7 +206,7 @@ def test_unreadable_text_is_an_error_line(tmp_path):
 
 @pytest.mark.parametrize("text, message", BAD_DISTRIBUTIONS.items(), ids=[
     "bitstring", "width", "fields", "rational", "negative", "duplicate", "sum",
-    "atoms", "empty"])
+    "atoms", "empty", "exponent"])
 @pytest.mark.parametrize("command", [["prob", "A"], ["cond", "A", "A | !A"]])
 def test_each_loader_error_is_one_error_line(tmp_path, command, text, message):
     dist = tmp_path / "dist.txt"

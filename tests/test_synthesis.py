@@ -3,6 +3,8 @@
 import functools
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,11 @@ from plogic.formulas import (
     is_tautology,
 )
 from plogic.parsing import parse_formula
-from plogic.proofs import Axiom, Hypothesis, check_deduction, format_proof, parse_proof
+from plogic.proofs import Hypothesis, check_deduction, format_proof, parse_proof
 from plogic.synthesis import (
     MAX_SWEEP_VARS,
     _by_sweep,
+    _unit_tables,
     is_derivable,
     opaque_skeleton,
     substitute_atoms,
@@ -141,6 +144,42 @@ class TestRefusals:
         assert is_falsifying_witness(goal, err.value.assignment)
 
 
+class TestUnitCap:
+    """Y is a disjunction of k distinct conjunctions of six atoms, each one
+    an opaque unit; the table over the units holds at most MAX_ATOMS."""
+
+    SIX = make_atoms("ABCDEF")
+
+    @classmethod
+    def _y(cls, k, skip=()):
+        units = [And(x, y) for x in cls.SIX for y in cls.SIX
+                 if x is not y and (x, y) not in skip]
+        return functools.reduce(Or, units[:k])
+
+    def test_more_units_than_the_table_cap_are_refused(self):
+        y = self._y(21)
+        goal = Implies(y, And(y, y))
+        message = re.escape("21 atoms exceed the cap of 20")
+        with pytest.raises(TooManyAtomsError, match=message):
+            synthesize_proof(goal)
+        with pytest.raises(TooManyAtomsError, match=message):
+            is_derivable(goal)
+
+    def test_identity_over_more_units_than_the_cap_still_proves(self):
+        y = self._y(21)
+        assert len(_round_trip(Implies(y, y)).lines) == 5
+
+    def test_refusal_past_the_sweep_cap_carries_its_witness(self):
+        a, b = self.SIX[:2]
+        # 12 conjunctions, A & B and A: 14 units
+        goal = Or(self._y(12, skip={(a, b)}), Implies(And(a, b), a))
+        assert is_tautology(goal) and not is_derivable(goal)
+        with pytest.raises(NotDerivableError) as err:
+            synthesize_proof(goal)
+        assert len(err.value.assignment) == 14
+        assert is_falsifying_witness(goal, err.value.assignment)
+
+
 class TestDerivabilityBoundary:
     """The opaque-conjunction abstraction is sound and complete for the
     reachable fragment: accepted hypothesis-free proofs only ever contain
@@ -239,7 +278,7 @@ class TestSoundness:
 
 
 def _sweep_proof(s):
-    return _by_sweep(s, list(opaque_skeleton(s)[1].values()))
+    return _by_sweep(s, *_unit_tables(s))
 
 
 class TestShorterRoutes:
@@ -328,6 +367,38 @@ class TestParsedProofSharing:
         assert len(set(nodes)) == len(nodes)
 
 
+class TestTextRoundTrip:
+    """A synthesized deduction is exactly what its own text parses back
+    to, axiom lines included."""
+
+    @staticmethod
+    def _bench_goals():
+        """The proof goals of the perfbench ``logic`` workload: the classics
+        and the derivable goals of seeds 1 to 10."""
+        bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+        sys.path.insert(0, bench)
+        try:
+            import reference
+            import wl_logic
+            from gen import CLASSICS
+        finally:
+            sys.path.remove(bench)
+        texts = list(CLASSICS)
+        for seed in range(1, 11):
+            for goal in wl_logic.generate(seed)["goals"]:
+                names = wl_logic.names(len(reference.atoms_in_order(goal)))
+                texts.append(reference.render(goal, names))
+        return texts
+
+    def test_parse_of_format_is_the_deduction(self):
+        texts = self._bench_goals()
+        assert len(texts) == 79
+        for text in texts:
+            parsed = parse_formula(text)
+            d = synthesize_proof(parsed.ast)
+            assert parse_proof(format_proof(d), dict(parsed.atom_table)) == d, text
+
+
 class TestSweepInPlace:
     """The sweep proves the goal on its own nodes, each opaque unit a leaf.
     Line by line, that is its proof of the skeleton with the units put
@@ -354,9 +425,6 @@ class TestSweepInPlace:
             proof = _sweep_proof(goal)
             want = []
             for sentence, just in _sweep_proof(skeleton).lines:
-                if type(just) is Axiom:
-                    just = Axiom(just.schema, {k: substitute_atoms(v, subtree_of)
-                                               for k, v in just.bindings.items()})
                 want.append((substitute_atoms(sentence, subtree_of), just))
             assert list(proof.lines) == want
             checked += 1
