@@ -39,8 +39,14 @@ SCHEMATA = {name: build(_METAVARIABLES) for name, build in _BUILD.items()}
 def match_schema(name: str, s: Sentence) -> dict[str, Sentence] | None:
     """Bindings under which the named schema instantiates to ``s``, if any.
     Each metavariable is bound at its first occurrence, left to right."""
+    return _match(SCHEMATA[name], s)
+
+
+def _match(pattern: Sentence, s: Sentence) -> dict[str, Sentence] | None:
+    """Bindings, by atom name, under which ``pattern`` instantiates to
+    ``s`` when each of its atoms is read as a metavariable."""
     bindings: dict[str, Sentence] = {}
-    stack = [(SCHEMATA[name], s)]
+    stack = [(pattern, s)]
     while stack:
         pattern, node = stack.pop()
         t = type(pattern)

@@ -1,6 +1,7 @@
 """Proof synthesis: round-trips, soundness, and the derivability boundary."""
 
 import functools
+import itertools
 import random
 import re
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import plogic.synthesis
 from conftest import is_falsifying_witness, make_atoms, random_sentence, recursion_headroom
 from plogic.errors import NotDerivableError, NotTautologyError, TooManyAtomsError
 from plogic.formulas import (
@@ -17,12 +19,15 @@ from plogic.formulas import (
     Implies,
     Not,
     Or,
+    as_implication,
     is_tautology,
 )
 from plogic.parsing import parse_formula
-from plogic.proofs import Hypothesis, check_deduction, format_proof, parse_proof
+from plogic.proofs import Hypothesis, check_deduction, format_proof, is_axiom_instance, parse_proof
 from plogic.synthesis import (
     MAX_SWEEP_VARS,
+    _by_contraposition,
+    _by_deduction,
     _by_sweep,
     _unit_tables,
     is_derivable,
@@ -320,15 +325,19 @@ class TestShorterRoutes:
         assert str(parsed.goal) == str(goal)  # the parser numbers atoms anew
         assert check_deduction(parsed).ok
 
+    @staticmethod
+    def _goals(rng):
+        while True:
+            x, y, z = (random_sentence(rng, [A, B, C], 3) for _ in range(3))
+            yield rng.choice([Implies(x, Implies(Implies(x, y), y)),
+                              Implies(Implies(x, y), Implies(Not(y), Not(x))),
+                              Implies(x, Implies(y, z)),
+                              random_sentence(rng, [A, B, C], 5)])
+
     def test_never_longer_than_the_sweep(self):
         rng = random.Random(45)
         shorter = 0
-        for _ in range(80):
-            x, y, z = (random_sentence(rng, [A, B, C], 3) for _ in range(3))
-            goal = rng.choice([Implies(x, Implies(Implies(x, y), y)),
-                               Implies(Implies(x, y), Implies(Not(y), Not(x))),
-                               Implies(x, Implies(y, z)),
-                               random_sentence(rng, [A, B, C], 5)])
+        for _, goal in zip(range(80), self._goals(rng)):
             if not is_derivable(goal):
                 continue
             d, sweep = _round_trip(goal), _sweep_proof(goal)
@@ -445,3 +454,86 @@ class TestDepth:
             proof = synthesize_proof(goal)
             assert check_deduction(proof).ok
         assert len(proof.lines) == 15 * 400 + 147
+
+
+class TestSweepOnlyWhenKept:
+    """The sweep is built only when its proof may be the one kept, and the
+    output is what building every route and keeping the shortest gives."""
+
+    @staticmethod
+    def _shortest_of_three(goal, sweep):
+        """Every route built; the fewest lines win, the sweep's on a tie."""
+        proofs = (sweep, _by_deduction(goal), _by_contraposition(goal))
+        return min((d for d in proofs if d is not None), key=lambda d: len(d.lines))
+
+    def _compare(self, monkeypatch, goals, text=True):
+        """Compare on the goals that reach the routes: derivable, within
+        the caps, and neither an axiom instance nor an identity.  A sweep
+        that ``synthesize_proof`` builds is reused, since it is the same
+        proof.  A deduction's text is a function of it, so ``text=False``
+        compares the deductions themselves, which costs less."""
+        swept = {}
+
+        def by_sweep(goal, *args):
+            swept[id(goal)] = proof = _by_sweep(goal, *args)
+            return proof
+
+        monkeypatch.setattr(plogic.synthesis, "_by_sweep", by_sweep)
+        compared = 0
+        for goal in goals:
+            imp = as_implication(goal)
+            if (not is_derivable(goal) or is_axiom_instance(goal)
+                    or (imp is not None and imp[0] == imp[1])
+                    or len(_unit_tables(goal)[0]) > MAX_SWEEP_VARS):
+                continue
+            got = synthesize_proof(goal)
+            want = self._shortest_of_three(goal, swept.pop(id(goal), None) or _sweep_proof(goal))
+            if text:
+                got, want = format_proof(got), format_proof(want)
+            assert got == want, goal
+            compared += 1
+        return compared
+
+    def test_classics_and_bench_goals(self, monkeypatch):
+        texts = TestTextRoundTrip._bench_goals()
+        assert self._compare(monkeypatch, (parse_formula(text).ast for text in texts)) == 77
+
+    @pytest.mark.parametrize("goals", [TestShorterRoutes._goals, TestSweepInPlace._goals],
+                             ids=["never-longer", "sweep-in-place"])
+    def test_seeded_goals(self, monkeypatch, goals):
+        drawn = itertools.islice(goals(random.Random(22)), 600)
+        assert self._compare(monkeypatch, drawn, text=False) > 200
+
+    @pytest.mark.parametrize("text, sweeps", [
+        ("(A -> B) -> (!B -> !A)", 0),
+        ("(A -> B) -> ((B -> C) -> (A -> C))", 0),
+        ("(A -> (B -> C)) -> (B -> (A -> C))", 0),
+        ("(!A -> A) -> A", 1),
+        ("!!A -> A", 1),
+        ("(A -> B) -> ((B -> C) -> ((C -> D) -> ((D -> E) -> ((E -> F) -> (A -> F)))))", 1),
+    ])
+    def test_sweeps_built(self, monkeypatch, text, sweeps):
+        built = []
+        monkeypatch.setattr(plogic.synthesis, "_by_sweep",
+                            lambda *args: built.append(args) or _by_sweep(*args))
+        synthesize_proof(parse_formula(text).ast)
+        assert len(built) == sweeps
+
+
+class TestDerivableByUnits:
+    """Up to MAX_ATOMS units, the table over the units decides
+    derivability, however many atoms the units hold."""
+
+    def test_more_atoms_than_the_cap(self):
+        p = [AtomRef(Atom(i, f"P{i}")) for i in range(22)]
+        units = [And(p[2 * i], p[2 * i + 1]) for i in range(11)]
+        excluded_middle = functools.reduce(Or, [units[0], Not(units[0]), *units[1:]])
+        with pytest.raises(TooManyAtomsError):
+            is_tautology(excluded_middle)
+        assert is_derivable(excluded_middle)
+        assert not is_derivable(functools.reduce(Or, units))  # no tautology
+        # a tautology whose first disjunct takes an opaque unit apart
+        assert not is_derivable(Or(Implies(units[0], p[0]), functools.reduce(Or, units[1:])))
+
+    def test_more_units_than_the_cap_and_no_tautology(self):
+        assert not is_derivable(TestUnitCap._y(21))
