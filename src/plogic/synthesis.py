@@ -6,14 +6,49 @@ deduction-theorem transformer and a case-split step (Kalmár's
 construction).  Two shorter routes compete with this sweep (assume the
 goal's antecedents and close them under modus ponens; the contraposition
 template), and the proof with the fewest lines wins, the sweep's on a tie.
+A second sweep over the goal's coarsest units competes last.
 
 Route order.  After its refusal checks ``synthesize_proof`` runs the two
 cheap routes, and builds the sweep only when neither succeeds or when
 ``_sweep_is_longer`` cannot show that the sweep's proof has more lines
 than the best cheap proof.  The sweep's proof must have *more* lines, so
 a tie still keeps its text and the output is what building all three
-gives.  Of the 79 perfbench goals, 14 build a sweep (77 when every
-sweep was built).
+gives.  Where it builds the sweep it also searches for the goal's
+coarsest units, and where the search takes any it sweeps the goal over
+them as well.  That proof is kept only when it has strictly fewer lines
+than the one the first three give, so a proof changes only where it gets
+strictly shorter.  Of the 79 perfbench goals, 14 build a sweep (77 when
+every sweep was built), and 10 a coarse one: the goals (!x -> x) -> x,
+whose proofs fall from 729-745 lines to 122.  The 79 proofs total 4,152
+lines instead of 10,286.
+
+Coarse units.  The sweep's cost and length grow as 2^k in its k leaves,
+so a goal that is a substitution instance of a smaller pattern is better
+swept over the pattern's variables (Plotkin, "A note on inductive
+generalization", 1970).  ``_coarsest_units`` tries the goal's compound
+subformulas as leaves, largest first (in nodes, a leaf counting one),
+each once.  It takes a candidate S when (a) abstracting S lowers the leaf
+count, that is when at least two leaves occur only inside S, and (b) the
+goal's table over the new leaves stays all ones; it stops at one leaf.
+The goal itself is no candidate, and neither is a ``!z`` that is the
+right operand of a body x & !z, since ``derive`` reads z's table there.
+The sweep itself is unchanged: ``derive`` reads its leaves from the unit
+list it is given, so it proves the goal in place, and the proof is the
+pattern's with the units put back for its variables.
+
+Both tests read one DAG of the goal down to its leaves, one class per
+distinct subformula (``_classes``), so the search costs a few passes
+linear in the goal, not one per candidate.  For (a), leaf u occurs only
+inside S iff paths(S) * paths(S to u) = paths(u), counting paths from
+the root down (one pass) and from each class down to each leaf (one pass,
+one bit field per leaf).  For (b), with S a free variable the goal is a
+tautology iff it stays one with S negated throughout: under any values
+of the leaves outside S, the goal already holds for each value that S
+takes as the leaves inside S vary, and negating S gives the other value.
+Where S occurs once, the negated goal differs from the goal exactly where
+the goal reads S, which one more top-down pass gives for every such
+class, so S is taken only if the goal never reads it.  A class that
+occurs more than once is negated and its ancestors recomputed.
 
 The certificate.  Every closed line (one with no working hypothesis) is
 made by ``axiom`` or ``mp``, and both look the sentence up first, so closed
@@ -137,19 +172,21 @@ def opaque_skeleton(s: Sentence) -> tuple[Sentence, dict[int, Sentence]]:
     return _fold((s,), leaf, Not, And)[0], subtree_of
 
 
-def _unit_tables(goal: Sentence) -> tuple[list[Sentence], dict[int, tuple[int, int]]]:
-    """The opaque units of ``goal`` in the order of ``opaque_skeleton``,
-    and by node id each node's truth table over them (the first most
-    significant) with the mask of the minterm-index bits its units
-    occupy.  Past the sweep's cap only the goal's entry is kept."""
+def _unit_tables(goal: Sentence, is_leaf=_is_unit
+                 ) -> tuple[list[Sentence], dict[int, tuple[int, int]]]:
+    """The leaves of ``goal`` (by default its opaque units, in the order of
+    ``opaque_skeleton``) as the fold meets them, and by node id each
+    node's truth table over them (the first most significant) with the
+    mask of the minterm-index bits its leaves occupy.  Past the sweep's cap
+    only the goal's entry is kept."""
     nodes: list[Sentence] = []
 
     def collect(node: Sentence) -> Sentence | None:
         nodes.append(node)
-        return node if _is_unit(node) else None
+        return node if is_leaf(node) else None
 
     _fold((goal,), collect, None, None)
-    units = list(dict.fromkeys(filter(_is_unit, nodes)))  # as the fold meets them
+    units = list(dict.fromkeys(filter(is_leaf, nodes)))  # as the fold meets them
     k = len(units)
     full = (1 << _size(k)) - 1
     leaves = {unit: (_atom_mask(p, k), 1 << (k - 1 - p)) for p, unit in enumerate(units)}
@@ -217,7 +254,8 @@ class _Builder:
     raises ``_GoalClosed`` as soon as it appends a closed line of it.
     """
 
-    def __init__(self, tables: Mapping[int, tuple[int, int]] | None = None,
+    def __init__(self, units: Sequence[Sentence] = (),
+                 tables: Mapping[int, tuple[int, int]] | None = None,
                  goal: Sentence | None = None):
         self.sents: list[Sentence] = []
         self.justs: list = []
@@ -227,6 +265,7 @@ class _Builder:
         self._hyp_lines: dict[Sentence, int] = {}
         self._dt_memo: dict[tuple[int, Sentence], int] = {}
         self._derive_memo: dict = {}
+        self._units = frozenset(units)  # the leaves of ``derive``
         self._tables = tables  # node id -> (table, unit bits), for ``derive``
         self._goal = goal
         self._goal_hash = None if goal is None else goal._hash
@@ -415,15 +454,16 @@ class _Builder:
 
     def derive(self, node: Sentence, idx: int) -> Generator:
         """Steps to the line proving ``node`` when it holds under minterm
-        ``idx`` of the goal's units, else its negation, from the literal
-        hypotheses of ``idx``."""
+        ``idx`` of the sweep's units, else its negation, from the literal
+        hypotheses of ``idx``.  The units are the leaves: a unit is never
+        the ``!z`` of a body x & !z, whose z's table is read."""
         tables = self._tables
         table, unit_bits = tables[id(node)]
         key = (node, idx & unit_bits)
         got = self._derive_memo.get(key)
         if got is not None:
             return got
-        if _is_unit(node):
+        if node in self._units:
             res = self.hyp(node if table >> idx & 1 else Not(node))
         elif type(node) is Not:
             c = node.child
@@ -564,21 +604,146 @@ def synthesize_proof(s: Sentence) -> Deduction:
     if best is not None and _sweep_is_longer(s, tables, len(best.lines)):
         return best
     sweep = _by_sweep(s, units, tables)
-    return sweep if best is None or len(sweep.lines) <= len(best.lines) else best
+    kept = sweep if best is None or len(sweep.lines) <= len(best.lines) else best
+    coarse = _by_coarse_sweep(s)
+    return coarse if coarse is not None and len(coarse.lines) < len(kept.lines) else kept
 
 
 def _by_sweep(goal: Sentence, units: Sequence[Sentence],
               tables: Mapping[int, tuple[int, int]]) -> Deduction:
-    """Kalmár's sweep of ``goal`` over its opaque units, as ``_unit_tables``
+    """Kalmár's sweep of ``goal`` over ``units``, as ``_unit_tables``
     gives them: each unit is a leaf that the hypotheses fix.  The sweep
     stops at its first closed goal line: no line appended after it is
     cited by it."""
-    builder = _Builder(tables, goal)
+    builder = _Builder(units, tables, goal)
     try:
         builder.eliminate(units, goal)
     except _GoalClosed as closed:
         return builder.extract(closed.line, goal)
     raise AssertionError("the outermost case split closes the goal")
+
+
+def _classes(goal: Sentence, is_leaf) -> tuple[int, list[tuple], dict[int, Sentence]]:
+    """The goal down to its leaves as a DAG of classes, one class per
+    distinct subformula, children before parents: classes 0..k-1 are the k
+    leaves as the fold meets them, and the last class is the goal.  Returns
+    k, each class's children (one class for a negation, two for a
+    conjunction) and the first node of each class."""
+    index: dict[Sentence, int] = {}
+    nodes: list[Sentence] = []
+
+    def collect(node: Sentence) -> int | None:
+        nodes.append(node)
+        return index.setdefault(node, len(index)) if is_leaf(node) else None
+
+    _fold((goal,), collect, None, None)
+    kids: list[tuple] = [()] * len(index)
+    class_of: dict[tuple, int] = {}
+
+    def intern(key: tuple) -> int:
+        c = class_of.get(key)
+        if c is None:
+            c = class_of[key] = len(kids)
+            kids.append(key)
+        return c
+
+    found = _fold(nodes, index.get, lambda c: intern((c,)), lambda a, b: intern((a, b)))
+    return len(index), kids, dict(zip(reversed(found), reversed(nodes)))
+
+
+def _coarsest_units(goal: Sentence) -> frozenset[Sentence]:
+    """The compound subformulas that the coarse sweep takes as units, by
+    the search of the module notes; empty when none is taken."""
+    taken: set[Sentence] = set()
+    tried: set[Sentence] = set()
+
+    def is_leaf(node: Sentence) -> bool:
+        return _is_unit(node) or node in taken
+
+    while True:
+        k, kids, first = _classes(goal, is_leaf)
+        root = len(kids) - 1
+        if k == 1:
+            return frozenset(taken)
+        paths = [0] * root + [1]  # root-to-class paths: occurrences in the tree
+        for c in range(root, k - 1, -1):
+            for child in kids[c]:
+                paths[child] += paths[c]
+        width = max(paths[:k]).bit_length()  # no path count below exceeds it
+        field = (1 << width) - 1
+        full = (1 << (1 << k)) - 1
+        # By class: its table over the leaves, its paths down to each leaf
+        # (one field of ``width`` bits per leaf), and its size in nodes, a
+        # leaf counting one.
+        table = [_atom_mask(j, k) for j in range(k)]
+        below = [1 << j * width for j in range(k)]
+        size = [1] * k
+        excluded = set()  # the !z of every body x & !z
+        for c in range(k, root + 1):
+            if len(kids[c]) == 1:
+                x, = kids[c]
+                table.append(full ^ table[x])
+                below.append(below[x])
+                size.append(size[x] + 1)
+            else:
+                a, b = kids[c]
+                excluded.add(b)
+                table.append(table[a] & table[b])
+                below.append(below[a] + below[b])
+                size.append(size[a] + size[b] + 1)
+        # For a class that occurs once, the minterms where the goal reads it.
+        reads = {root: full}
+        for c in range(root, k - 1, -1):
+            mask = reads.get(c)
+            if mask is None:
+                continue
+            if len(kids[c]) == 1:
+                if paths[kids[c][0]] == 1:
+                    reads[kids[c][0]] = mask
+            else:
+                a, b = kids[c]
+                if paths[a] == 1:
+                    reads[a] = mask & table[b]
+                if paths[b] == 1:
+                    reads[b] = mask & table[a]
+
+        def stays_tautology(s: int) -> bool:
+            """The goal with class s negated throughout is a tautology."""
+            if s in reads:
+                return reads[s] == 0
+            flipped = {s: full ^ table[s]}
+            for c in range(s + 1, root + 1):
+                ks = kids[c]
+                if len(ks) == 1:
+                    if ks[0] in flipped:
+                        flipped[c] = full ^ flipped[ks[0]]
+                elif ks[0] in flipped or ks[1] in flipped:
+                    flipped[c] = flipped.get(ks[0], table[ks[0]]) & flipped.get(ks[1], table[ks[1]])
+            return flipped[root] == full
+
+        for c in sorted(range(k, root), key=size.__getitem__, reverse=True):
+            if c in excluded or first[c] in tried:
+                continue
+            tried.add(first[c])
+            # the leaves that occur only inside the class leave with it
+            gone = sum(paths[c] * (below[c] >> j * width & field) == paths[j]
+                       for j in range(k))
+            if gone >= 2 and stays_tautology(c):
+                taken.add(first[c])
+                if gone == k:
+                    return frozenset(taken)
+                break
+        else:
+            return frozenset(taken)
+
+
+def _by_coarse_sweep(goal: Sentence) -> Deduction | None:
+    """Kalmár's sweep of ``goal`` over its coarsest units, or None when
+    the search takes no compound subformula."""
+    coarse = _coarsest_units(goal)
+    if not coarse:
+        return None
+    return _by_sweep(goal, *_unit_tables(goal, lambda node: _is_unit(node) or node in coarse))
 
 
 @cache

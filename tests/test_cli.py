@@ -111,6 +111,19 @@ class TestProveAndCheck:
             assert check.ok, goal
             assert check.lines[0] == "accepted"
 
+    def test_prove_sweeps_a_compound_unit(self, tmp_path):
+        # x = A -> (B -> C) is one unit of the sweep: the proof is the
+        # 122-line proof of (!A -> A) -> A with x put in for A
+        x = "(A -> (B -> C))"
+        report = run(["prove", f"(!{x} -> {x}) -> {x}"])
+        assert report.ok
+        assert len(report.lines) == 122
+        proof_file = tmp_path / "proof.txt"
+        proof_file.write_text("\n".join(report.lines) + "\n")
+        check = run(["check", str(proof_file)])
+        assert check.ok
+        assert check.lines[0] == "accepted"
+
     def test_prove_refuses_non_tautology(self):
         report = run(["prove", "A & !A"])
         assert not report.ok

@@ -5,6 +5,8 @@ import itertools
 import random
 import re
 import sys
+import time
+import timeit
 from pathlib import Path
 
 import pytest
@@ -26,9 +28,11 @@ from plogic.parsing import parse_formula
 from plogic.proofs import Hypothesis, check_deduction, format_proof, is_axiom_instance, parse_proof
 from plogic.synthesis import (
     MAX_SWEEP_VARS,
+    _by_coarse_sweep,
     _by_contraposition,
     _by_deduction,
     _by_sweep,
+    _coarsest_units,
     _unit_tables,
     is_derivable,
     opaque_skeleton,
@@ -466,43 +470,71 @@ class TestSweepOnlyWhenKept:
         proofs = (sweep, _by_deduction(goal), _by_contraposition(goal))
         return min((d for d in proofs if d is not None), key=lambda d: len(d.lines))
 
-    def _compare(self, monkeypatch, goals, text=True):
+    @staticmethod
+    def _compare(monkeypatch, goals, text=True):
         """Compare on the goals that reach the routes: derivable, within
-        the caps, and neither an axiom instance nor an identity.  A sweep
-        that ``synthesize_proof`` builds is reused, since it is the same
-        proof.  A deduction's text is a function of it, so ``text=False``
-        compares the deductions themselves, which costs less."""
-        swept = {}
+        the caps, and neither an axiom instance nor an identity.  The
+        shortest of three is kept unless the sweep over the coarsest units
+        is strictly shorter.  A sweep that ``synthesize_proof`` builds is
+        reused, since it is the same proof; the coarse one has fewer units.
+        A deduction's text is a function of it, so ``text=False`` compares
+        the deductions themselves, which costs less.  Returns the goals
+        compared, those that coarsen, and those whose coarse sweep is
+        longer than the fine one."""
+        built = []
 
-        def by_sweep(goal, *args):
-            swept[id(goal)] = proof = _by_sweep(goal, *args)
+        def by_sweep(goal, units, tables):
+            proof = _by_sweep(goal, units, tables)
+            built.append((len(units), proof))
             return proof
 
         monkeypatch.setattr(plogic.synthesis, "_by_sweep", by_sweep)
-        compared = 0
+        compared = coarsened = longer = 0
         for goal in goals:
             imp = as_implication(goal)
             if (not is_derivable(goal) or is_axiom_instance(goal)
-                    or (imp is not None and imp[0] == imp[1])
-                    or len(_unit_tables(goal)[0]) > MAX_SWEEP_VARS):
+                    or (imp is not None and imp[0] == imp[1])):
+                continue
+            k = len(_unit_tables(goal)[0])
+            if k > MAX_SWEEP_VARS:
                 continue
             got = synthesize_proof(goal)
-            want = self._shortest_of_three(goal, swept.pop(id(goal), None) or _sweep_proof(goal))
+            sweeps = dict(built)
+            sweep = sweeps.pop(k, None) or _sweep_proof(goal)
+            coarse = next(iter(sweeps.values()), None) or _by_coarse_sweep(goal)
+            built.clear()
+            parent = TestSweepOnlyWhenKept._shortest_of_three(goal, sweep)
+            want = coarse if coarse and len(coarse.lines) < len(parent.lines) else parent
+            assert len(got.lines) <= len(parent.lines)
             if text:
                 got, want = format_proof(got), format_proof(want)
             assert got == want, goal
             compared += 1
-        return compared
+            coarsened += coarse is not None
+            longer += coarse is not None and len(coarse.lines) > len(sweep.lines)
+        return compared, coarsened, longer
 
     def test_classics_and_bench_goals(self, monkeypatch):
         texts = TestTextRoundTrip._bench_goals()
-        assert self._compare(monkeypatch, (parse_formula(text).ast for text in texts)) == 77
+        goals = (parse_formula(text).ast for text in texts)
+        assert self._compare(monkeypatch, goals) == (77, 40, 0)
 
-    @pytest.mark.parametrize("goals", [TestShorterRoutes._goals, TestSweepInPlace._goals],
-                             ids=["never-longer", "sweep-in-place"])
-    def test_seeded_goals(self, monkeypatch, goals):
-        drawn = itertools.islice(goals(random.Random(22)), 600)
-        assert self._compare(monkeypatch, drawn, text=False) > 200
+    GENERATORS = pytest.mark.parametrize(
+        "goals", [TestShorterRoutes._goals, TestSweepInPlace._goals],
+        ids=["never-longer", "sweep-in-place"])
+
+    @GENERATORS
+    def test_seeded_goals(self, monkeypatch, goals, seed=22):
+        """No proof is longer than the shortest of three, and a proof that
+        is not strictly shorter is that one.  Some coarse sweeps are
+        longer than the fine ones: those goals keep the parent's proof."""
+        drawn = itertools.islice(goals(random.Random(seed)), 600)
+        compared, coarsened, longer = self._compare(monkeypatch, drawn, text=False)
+        assert compared > 200 and coarsened > 50 and longer > 0
+
+    @GENERATORS
+    def test_seeded_goals_of_another_seed(self, monkeypatch, goals):
+        self.test_seeded_goals(monkeypatch, goals, seed=2300)
 
     @pytest.mark.parametrize("text, sweeps", [
         ("(A -> B) -> (!B -> !A)", 0),
@@ -511,6 +543,7 @@ class TestSweepOnlyWhenKept:
         ("(!A -> A) -> A", 1),
         ("!!A -> A", 1),
         ("(A -> B) -> ((B -> C) -> ((C -> D) -> ((D -> E) -> ((E -> F) -> (A -> F)))))", 1),
+        ("(!(A -> (B -> C)) -> (A -> (B -> C))) -> (A -> (B -> C))", 2),
     ])
     def test_sweeps_built(self, monkeypatch, text, sweeps):
         built = []
@@ -518,6 +551,74 @@ class TestSweepOnlyWhenKept:
                             lambda *args: built.append(args) or _by_sweep(*args))
         synthesize_proof(parse_formula(text).ast)
         assert len(built) == sweeps
+
+
+class TestCoarseUnits:
+    """Where the sweep is built, the goal is also swept over its coarsest
+    units, compound subformulas taken as leaves, and that proof is kept
+    where it is strictly shorter."""
+
+    @staticmethod
+    def _is_the_classic_over(x):
+        """(!X -> X) -> X is proved by the 122-line proof of (!A -> A) -> A
+        with X put in for A."""
+        proof = _round_trip(Implies(Implies(Not(x), x), x))
+        classic = synthesize_proof(Implies(Implies(Not(A), A), A))
+        assert len(proof.lines) == 122
+        assert list(proof.lines) == [(substitute_atoms(sentence, {A.atom.id: x}), just)
+                                     for sentence, just in classic.lines]
+
+    def test_bench_template(self):
+        found = 0
+        for text in TestTextRoundTrip._bench_goals():
+            goal = parse_formula(text).ast
+            imp = as_implication(goal)
+            x = imp and imp[1]
+            if imp and as_implication(imp[0]) == (Not(x), x) and len(_unit_tables(x)[0]) > 1:
+                assert _coarsest_units(goal) == {x}
+                self._is_the_classic_over(x)
+                found += 1
+        assert found == 10  # one goal of seeds 1-10 each
+
+    def test_seeded_draws(self):
+        # Where X is a tautology, a cheap route can be shorter still.
+        rng = random.Random(2301)
+        checked = 0
+        while checked < 40:
+            x = random_sentence(rng, [A, B, C], 3)
+            if len(_unit_tables(x)[0]) > 1 and not is_tautology(x):
+                self._is_the_classic_over(x)
+                checked += 1
+
+    @pytest.mark.parametrize("text, fine, coarse", [
+        ("!(B & A) & B | (!(B & A) & B -> A) | (!(B & A) & B | (!(B & A) & B -> A))"
+         " -> !(B & A) & B | (!(B & A) & B -> A)", 27, 122),
+        ("A | (B -> B) | (A | (B -> B)) -> A | (B -> B)", 9, 122),
+        ("((C -> A) | (B -> B) -> B) -> B | !((C -> A) | (B -> B))", 253, 379),
+        ("(C -> A | (A -> B)) -> A | (A -> B) | !C", 79, 379),
+    ])
+    def test_coarse_sweep_longer_than_the_fine_one(self, text, fine, coarse):
+        goal = parse_formula(text).ast
+        sweep = _sweep_proof(goal)
+        assert (len(sweep.lines), len(_by_coarse_sweep(goal).lines)) == (fine, coarse)
+        kept = TestSweepOnlyWhenKept._shortest_of_three(goal, sweep)
+        assert format_proof(synthesize_proof(goal)) == format_proof(kept)
+
+    @pytest.mark.parametrize("text", [
+        "(A -> B) -> (" + "!" * 1000 + "A -> B)",
+        "!" * 1000 + "(A -> (B -> A))",
+    ], ids=["shared-atoms", "negated-axiom"])
+    def test_search_adds_no_pass_quadratic_in_depth(self, text):
+        """Every ! level is a candidate (the first goal's hold one atom, the
+        second's two, each read by the goal), yet the search costs under a
+        tenth of the synthesis."""
+        goal = parse_formula(text).ast
+        start = time.perf_counter()
+        synthesize_proof(goal)
+        synthesis = time.perf_counter() - start
+        search = min(timeit.repeat(lambda: _coarsest_units(goal), number=1, repeat=3))
+        assert not _coarsest_units(goal)
+        assert search < synthesis / 10
 
 
 class TestDerivableByUnits:
