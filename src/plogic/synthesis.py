@@ -9,18 +9,22 @@ template), and the proof with the fewest lines wins, the sweep's on a tie.
 A second sweep over the goal's coarsest units competes last.
 
 Route order.  After its refusal checks ``synthesize_proof`` runs the two
-cheap routes, and builds the sweep only when neither succeeds or when
+cheap routes, and goes on only when neither succeeds or when
 ``_sweep_is_longer`` cannot show that the sweep's proof has more lines
 than the best cheap proof.  The sweep's proof must have *more* lines, so
 a tie still keeps its text and the output is what building all three
-gives.  Where it builds the sweep it also searches for the goal's
-coarsest units, and where the search takes any it sweeps the goal over
-them as well.  That proof is kept only when it has strictly fewer lines
-than the one the first three give, so a proof changes only where it gets
-strictly shorter.  Of the 79 perfbench goals, 14 build a sweep (77 when
-every sweep was built), and 10 a coarse one: the goals (!x -> x) -> x,
-whose proofs fall from 729-745 lines to 122.  The 79 proofs total 4,152
-lines instead of 10,286.
+gives.  It then searches for the goal's coarsest units.  Where the search
+ends at one leaf that the one-leaf rule admits (see "Coarse units"), it
+builds only the sweep over that leaf and keeps its proof when it has
+strictly fewer lines than the best cheap proof, or when there is none.
+Elsewhere it builds the sweep, and where the search takes any units it
+sweeps the goal over them as well.  That proof is kept only when it has
+strictly fewer lines than the one the first three give, so a proof
+changes only where it gets strictly shorter.  Of the 79 perfbench goals,
+13 build a sweep (77 when every sweep was built): the ten goals
+(!x -> x) -> x build only the coarse one, whose proofs have 122 lines
+where the fine sweep's have 729-745.  The 79 proofs total 4,152 lines
+instead of 10,286.
 
 Coarse units.  The sweep's cost and length grow as 2^k in its k leaves,
 so a goal that is a substitution instance of a smaller pattern is better
@@ -35,6 +39,17 @@ right operand of a body x & !z, since ``derive`` reads z's table there.
 The sweep itself is unchanged: ``derive`` reads its leaves from the unit
 list it is given, so it proves the goal in place, and the proof is the
 pattern's with the units put back for its variables.
+
+The one-leaf rule.  Where the search ends at a single leaf S whose table
+over the opaque units is neither all zeros nor all ones, the fine sweep is
+not built: the coarse sweep's proof is taken to be strictly shorter, so
+the fine one could never be kept.  This is measured, not proved.  Of
+9,139 goals (the bench's, and seeded draws of the test generators), 1,107
+reach the routes with one such leaf, and on each the coarse sweep is
+strictly shorter, by 119 lines or more; of 115 with a constant leaf, only
+37 are.  Each goal found whose coarse sweep is longer has two or more
+leaves or a constant leaf, such as the four in ``TestCoarseUnits``, each
+of which takes a tautology as a leaf.
 
 Both tests read one DAG of the goal down to its leaves, one class per
 distinct subformula (``_classes``), so the search costs a few passes
@@ -76,17 +91,24 @@ asks four things:
 3. g is none of the closed lines that ``dni(X)``, ``exfalso(X, Z)`` and
    ``conj_intro_neg(X, Z)`` write on metavariables, such as
    x -> ((x -> z) -> z).  These are the lemmas ``derive`` calls.
-4. The cheap proof has fewer lines than the 98 that ``contra(P, G)``,
-   ``contra(!P, G)`` and ``dne(P)`` cite together in a fresh builder.
-   Under 1-3 the root is the last ``mp`` of a case split on some unit p,
-   which cites those lemmas on p and g, plus a dozen lines of its own.
+4. The cheap proof has fewer lines than the floor: 98 for a sweep over
+   one unit, the lines that ``contra(P, G)``, ``contra(!P, G)`` and
+   ``dne(P)`` cite together in a fresh builder, and 196 over two or more
+   units, what the same lemmas on P and on Q cite together.  Under 1-3 the
+   root is the last ``mp`` of a case split on some unit p, which cites
+   those lemmas on p and g, plus a dozen lines of its own; over two or
+   more units its sides are taken to cite a split on a second unit too.
 
-Conditions 1-3 and the floor of 4 are argued, not proved: lemma lines
+Conditions 1-3 and the floors of 4 are argued, not proved: lemma lines
 shared with earlier lines are why 1 is strict, and they are measured.
 Of 20,314 random goals and every goal a -> b whose sides have at most
 five nodes over two atoms or four over three, 7,390 pass 1-3.  None of
 them sweeps to fewer than 197 lines, and each sweep's root is the last
-``mp`` of a case split.
+``mp`` of a case split.  Of the 9,139 goals above, chains of compound
+links among them, 1,678 pass 1-3 over two or more units; none sweeps to
+fewer than 218 lines, and on 98 the cheap proof has 98-195 lines, so the
+floor of two splits alone skips the sweep.  ``TestSweepPremises`` checks
+both measured rules on seeded draws.
 
 Derivability boundary.  Modus ponens only ever destructures the
 implication shape not(x and not(y)), and every conjunction inside the
@@ -601,12 +623,20 @@ def synthesize_proof(s: Sentence) -> Deduction:
 
     cheap = [d for d in (_by_deduction(s), _by_contraposition(s)) if d is not None]
     best = min(cheap, key=lambda d: len(d.lines), default=None)
-    if best is not None and _sweep_is_longer(s, tables, len(best.lines)):
+    if best is not None and _sweep_is_longer(s, tables, len(best.lines), k):
         return best
+    coarse = _coarse_tables(s)
+    if coarse is not None:
+        leaves = coarse[0]
+        if len(leaves) == 1 and 0 < tables[id(leaves[0])][0] < table:  # the one-leaf rule
+            sweep = _by_sweep(s, *coarse)
+            return sweep if best is None or len(sweep.lines) < len(best.lines) else best
     sweep = _by_sweep(s, units, tables)
     kept = sweep if best is None or len(sweep.lines) <= len(best.lines) else best
-    coarse = _by_coarse_sweep(s)
-    return coarse if coarse is not None and len(coarse.lines) < len(kept.lines) else kept
+    if coarse is None:
+        return kept
+    sweep = _by_sweep(s, *coarse)
+    return sweep if len(sweep.lines) < len(kept.lines) else kept
 
 
 def _by_sweep(goal: Sentence, units: Sequence[Sentence],
@@ -737,24 +767,26 @@ def _coarsest_units(goal: Sentence) -> frozenset[Sentence]:
             return frozenset(taken)
 
 
-def _by_coarse_sweep(goal: Sentence) -> Deduction | None:
-    """Kalmár's sweep of ``goal`` over its coarsest units, or None when
-    the search takes no compound subformula."""
+def _coarse_tables(goal: Sentence
+                   ) -> tuple[list[Sentence], dict[int, tuple[int, int]]] | None:
+    """``_unit_tables`` of ``goal`` with its coarsest units as leaves too,
+    or None when the search takes no compound subformula."""
     coarse = _coarsest_units(goal)
     if not coarse:
         return None
-    return _by_sweep(goal, *_unit_tables(goal, lambda node: _is_unit(node) or node in coarse))
+    return _unit_tables(goal, lambda node: _is_unit(node) or node in coarse)
 
 
 @cache
-def _certificate() -> tuple[list[Sentence], int]:
+def _certificate() -> tuple[list[Sentence], tuple[int, int]]:
     """What ``_sweep_is_longer`` reads, built once on metavariable atoms:
     the closed lines of ``dni(X)``, ``exfalso(X, Z)`` and
     ``conj_intro_neg(X, Z)``, each lemma in a fresh builder; and the
-    number of lines that ``contra(P, G)``, ``contra(!P, G)`` and ``dne(P)``
-    cite together, the lemmas of a case split on P.  The lines share each
-    distinct node, which halves the memory the table holds."""
-    x, z, p, g = (AtomRef(Atom(-1 - i, name)) for i, name in enumerate("XZPG"))
+    floors of condition 4, the number of lines that the lemmas of one case
+    split cite (``contra(P, G)``, ``contra(!P, G)`` and ``dne(P)``) and
+    of two, the same again on Q, in one fresh builder.  The lines share
+    each distinct node, which halves the memory the table holds."""
+    x, z, p, q, g = (AtomRef(Atom(-1 - i, name)) for i, name in enumerate("XZPQG"))
     early: dict[Sentence, None] = {}
     for lemma, args in ((_Builder.dni, (x,)), (_Builder.exfalso, (x, z)),
                         (_Builder.conj_intro_neg, (x, z))):
@@ -767,18 +799,19 @@ def _certificate() -> tuple[list[Sentence], int]:
                      lambda c: nodes.setdefault((id(c),), Not(c)),
                      lambda a, b: nodes.setdefault((id(a), id(b)), And(a, b)))
     builder = _Builder()
-    split = (builder.contra(p, g), builder.contra(Not(p), g), builder.dne(p))
-    return patterns, len(builder.reach(split))
+    one, two = ((builder.contra(u, g), builder.contra(Not(u), g), builder.dne(u)) for u in (p, q))
+    return patterns, (len(builder.reach(one)), len(builder.reach(one + two)))
 
 
 def _sweep_is_longer(goal: Sentence, tables: Mapping[int, tuple[int, int]],
-                     lines: int) -> bool:
+                     lines: int, k: int) -> bool:
     """True when the four conditions of the module notes hold, which show
-    that the sweep's proof of the derivable ``goal`` has more than
-    ``lines`` lines, so that building it would be wasted."""
-    early, floor = _certificate()
+    that the sweep's proof of the derivable ``goal`` over its ``k`` opaque
+    units has more than ``lines`` lines, so that building it would be
+    wasted."""
+    early, floors = _certificate()
     imp = as_implication(goal)
-    if lines >= floor or imp is None:  # 4
+    if lines >= floors[min(k, 2) - 1] or imp is None:  # 4
         return False
     a, b = imp
     xy = as_implication(a)
