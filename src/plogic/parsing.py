@@ -12,12 +12,23 @@ grammar error, wherever it stands.
 Every node is hash-consed as it is built (Filliatre and Conchon,
 "Type-safe modular hash-consing", 2006): structurally equal subformulas
 of one call, or of all the lines of one proof, are one immutable node.
+
+The same table maps token text to the node it parses to, so that text
+met again is not parsed again: the whole formula, the text right of its
+first depth-0 ``->`` (what a later modus ponens line reprints), and the
+inside of each parenthesized group at paren depth 0.  Keys are taken
+only there, so each token is joined into at most three keys and a parse
+stays linear in its text; keying every group would join a group nested
+d deep d times.  Validity is a length check, the tokens' total length
+against the text's non-whitespace length; the character scan runs only
+to locate the error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import FormulaSyntaxError
 from .formulas import And, Atom, AtomRef, Not, Sentence
@@ -47,6 +58,20 @@ def _column(text: str, k: int) -> int:
     return len(text) + 1
 
 
+def _closing(tokens: list[str], k: int) -> int | None:
+    """Index of the ``)`` that closes the ``(`` at token ``k``, or None
+    when none does.  One step per ``)`` in the group."""
+    need, start = 1, k + 1
+    while need:
+        try:
+            end = tokens.index(")", start)
+        except ValueError:
+            return None
+        need += tokens[start:end].count("(") - 1
+        start = end + 1
+    return start - 1
+
+
 def _parse(text: str, table: dict[str, Atom], nodes: dict) -> Sentence:
     """Parse ``text`` to its tree, extending ``table`` with new atoms.
 
@@ -56,14 +81,25 @@ def _parse(text: str, table: dict[str, Atom], nodes: dict) -> Sentence:
     again, in this text or in an earlier one parsed with the same
     ``nodes``, is the one node built first.  The ids stay valid because
     ``nodes`` holds every node it keys.
+
+    ``nodes`` also maps token text, space-joined, to the node it parses
+    to: the whole text, the text right of its first depth-0 ``->``, and
+    the inside of each parenthesized group at depth 0.  Text met again
+    there is that node, and its tokens are skipped.
     """
-    bad = _VALID_RE.match(text).end()
-    if bad < len(text):
-        raise FormulaSyntaxError(f"unexpected character {text[bad]!r}", bad + 1)
     tokens = _TOKEN_RE.findall(text)
+    if sum(map(len, tokens)) != sum(map(len, text.split())):
+        bad = _VALID_RE.match(text).end()
+        raise FormulaSyntaxError(f"unexpected character {text[bad]!r}", bad + 1)
+    whole = " ".join(tokens)
+    node = nodes.get(whole)
+    if node is not None:
+        return node
     operands: list[Sentence] = []
     ops: list[str] = []  # "(", "!" and binary operators still waiting
     depth = 0  # "(" still waiting
+    group = ""  # the key of the depth-0 group being parsed
+    suffix = None  # the key of the text right of the first depth-0 "->"
 
     def neg(child: Sentence) -> Sentence:
         node = nodes.get(id(child))
@@ -95,26 +131,47 @@ def _parse(text: str, table: dict[str, Atom], nodes: dict) -> Sentence:
         operands[-1] = node
 
     want_operand = True
-    for k, tok in enumerate(tokens):
+    steps = enumerate(tokens)
+    for k, tok in steps:
         if want_operand:
-            if tok == "(" or tok == "!":
+            if tok == "(" and not depth:
+                close = _closing(tokens, k)
+                if close is not None:
+                    group = " ".join(tokens[k + 1:close])
+                    node = nodes.get(group)
+                if close is None or node is None:
+                    depth = 1
+                    ops.append(tok)
+                    continue
+                next(islice(steps, close - k, close - k), None)  # skip to the ")"
+            elif tok == "(" or tok == "!":
                 depth += tok == "("
                 ops.append(tok)
                 continue
-            if tok in _BINARY or tok == ")":
+            elif tok in _BINARY or tok == ")":
                 raise FormulaSyntaxError("expected an atom, '!', or '('", _column(text, k))
-            node = nodes.get(tok)
-            if node is None:
-                atom = table.get(tok)
-                if atom is None:
-                    atom = table[tok] = Atom(len(table), tok)
-                node = nodes[tok] = AtomRef(atom)
+            else:
+                node = nodes.get(tok)
+                if node is None:
+                    atom = table.get(tok)
+                    if atom is None:
+                        atom = table[tok] = Atom(len(table), tok)
+                    node = nodes[tok] = AtomRef(atom)
         elif tok in _BINARY:
             bound = _BINARY[tok] + (tok == "->")  # -> is right-associative
             while ops and ops[-1] != "(" and _BINARY[ops[-1]] >= bound:
                 reduce()
             ops.append(tok)
             want_operand = True
+            if tok == "->" and not depth and suffix is None:
+                # ops holds this "->" alone: every operator before it is
+                # reduced, so the right operand is the rest of the text.
+                suffix = " ".join(tokens[k + 1:])
+                node = nodes.get(suffix)
+                if node is not None:
+                    operands.append(node)
+                    want_operand = False
+                    break
             continue
         elif tok == ")" and depth:
             while ops[-1] != "(":
@@ -122,6 +179,8 @@ def _parse(text: str, table: dict[str, Atom], nodes: dict) -> Sentence:
             ops.pop()
             depth -= 1
             node = operands.pop()
+            if not depth:
+                nodes[group] = node
         elif depth:
             raise FormulaSyntaxError("expected ')'", _column(text, k))
         else:
@@ -137,9 +196,14 @@ def _parse(text: str, table: dict[str, Atom], nodes: dict) -> Sentence:
         raise FormulaSyntaxError("expected an atom, '!', or '('", end)
     if depth:
         raise FormulaSyntaxError("expected ')'", end)
-    while ops:
+    while len(ops) > 1:
         reduce()
-    return operands[0]
+    if suffix is not None:
+        nodes[suffix] = operands[1]
+    if ops:
+        reduce()
+    node = nodes[whole] = operands[0]
+    return node
 
 
 def parse_formula(text: str, atom_table: dict[str, Atom] | None = None) -> ParsedFormula:

@@ -176,9 +176,12 @@ def check_deduction(d: Deduction) -> CheckReport:
 # One line per proof step:  "<n>. <formula> ; axiom A1"  or  "; hyp <k>"
 # or  "; mp <i> <j>"  with 1-based line numbers; the last line is the goal.
 
-_PROOF_LINE_RE = re.compile(
-    r"^\s*(?P<num>\d+)\.\s*(?P<formula>.*?)\s*;\s*"
-    r"(?:axiom\s+(?P<schema>A[123])"
+# A line is its head, the formula, and the justification after the line's
+# last ";" (no justification holds one).  The formula runs from the head's
+# end to that ";", less the whitespace before it.
+_HEAD_RE = re.compile(r"\s*(?P<num>\d+)\.\s*")
+_JUSTIFICATION_RE = re.compile(
+    r"\s*(?:axiom\s+(?P<schema>A[123])"
     r"|hyp\s+(?P<hyp>\d+)"
     r"|mp\s+(?P<major>\d+)\s+(?P<minor>\d+))\s*$"
 )
@@ -212,7 +215,9 @@ def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deducti
     ``hyp <k>`` lines, which must agree and use dense indices.
 
     Every line reprints earlier formulas, so the lines share one node
-    table: each distinct subformula of the proof is one shared node."""
+    table: each distinct subformula of the proof is one shared node, and
+    a whole formula, consequent or depth-0 group whose text an earlier
+    line held is that line's node, its tokens not parsed again."""
     table = atom_table if atom_table is not None else {}
     nodes: dict = {}
     lines: list[tuple[Sentence, Justification]] = []
@@ -221,15 +226,17 @@ def parse_proof(text: str, atom_table: dict[str, Atom] | None = None) -> Deducti
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        m = _PROOF_LINE_RE.match(raw)
+        head = _HEAD_RE.match(raw)
+        semi = raw.rfind(";")
+        m = _JUSTIFICATION_RE.match(raw, semi + 1) if head and semi >= 0 else None
         if m is None:
             raise ProofFormatError("unrecognized proof line", lineno)
         count += 1
-        if _numeral(m.group("num"), lineno) != count:
+        if _numeral(head["num"], lineno) != count:
             raise ProofFormatError(
-                f"expected line number {count}, found {m.group('num')}", lineno)
+                f"expected line number {count}, found {head['num']}", lineno)
         try:
-            sentence = _parse(m.group("formula"), table, nodes)
+            sentence = _parse(raw[head.end():semi].rstrip(), table, nodes)
         except FormulaSyntaxError as exc:
             raise FormulaSyntaxError(exc.message, exc.column, lineno) from None
         if m.group("schema"):

@@ -778,15 +778,25 @@ def _coarse_tables(goal: Sentence
 
 
 @cache
-def _certificate() -> tuple[list[Sentence], tuple[int, int]]:
-    """What ``_sweep_is_longer`` reads, built once on metavariable atoms:
-    the closed lines of ``dni(X)``, ``exfalso(X, Z)`` and
-    ``conj_intro_neg(X, Z)``, each lemma in a fresh builder; and the
-    floors of condition 4, the number of lines that the lemmas of one case
-    split cite (``contra(P, G)``, ``contra(!P, G)`` and ``dne(P)``) and
-    of two, the same again on Q, in one fresh builder.  The lines share
-    each distinct node, which halves the memory the table holds."""
-    x, z, p, q, g = (AtomRef(Atom(-1 - i, name)) for i, name in enumerate("XZPQG"))
+def _floors() -> tuple[int, int]:
+    """Condition 4's floors, built once on metavariable atoms: the number
+    of lines that the lemmas of one case split cite (``contra(P, G)``,
+    ``contra(!P, G)`` and ``dne(P)``) and of two, the same again on Q, in
+    one fresh builder."""
+    p, q, g = (AtomRef(Atom(-1 - i, name)) for i, name in enumerate("PQG"))
+    builder = _Builder()
+    one, two = ((builder.contra(u, g), builder.contra(Not(u), g), builder.dne(u)) for u in (p, q))
+    return len(builder.reach(one)), len(builder.reach(one + two))
+
+
+@cache
+def _early_patterns() -> list[Sentence]:
+    """Condition 3's patterns, built once on metavariable atoms and only
+    when conditions 4, 1 and 2 hold: the closed lines of ``dni(X)``,
+    ``exfalso(X, Z)`` and ``conj_intro_neg(X, Z)``, each lemma in a fresh
+    builder.  The lines share each distinct node, which halves the memory
+    the table holds."""
+    x, z = (AtomRef(Atom(-1 - i, name)) for i, name in enumerate("XZ"))
     early: dict[Sentence, None] = {}
     for lemma, args in ((_Builder.dni, (x,)), (_Builder.exfalso, (x, z)),
                         (_Builder.conj_intro_neg, (x, z))):
@@ -795,12 +805,9 @@ def _certificate() -> tuple[list[Sentence], tuple[int, int]]:
         early.update((sent, None) for sent, hyps in zip(builder.sents, builder.hyps)
                      if not hyps)
     nodes: dict[tuple, Sentence] = {}
-    patterns = _fold(tuple(early), lambda n: n if type(n) is AtomRef else None,
-                     lambda c: nodes.setdefault((id(c),), Not(c)),
-                     lambda a, b: nodes.setdefault((id(a), id(b)), And(a, b)))
-    builder = _Builder()
-    one, two = ((builder.contra(u, g), builder.contra(Not(u), g), builder.dne(u)) for u in (p, q))
-    return patterns, (len(builder.reach(one)), len(builder.reach(one + two)))
+    return _fold(tuple(early), lambda n: n if type(n) is AtomRef else None,
+                 lambda c: nodes.setdefault((id(c),), Not(c)),
+                 lambda a, b: nodes.setdefault((id(a), id(b)), And(a, b)))
 
 
 def _sweep_is_longer(goal: Sentence, tables: Mapping[int, tuple[int, int]],
@@ -809,9 +816,8 @@ def _sweep_is_longer(goal: Sentence, tables: Mapping[int, tuple[int, int]],
     that the sweep's proof of the derivable ``goal`` over its ``k`` opaque
     units has more than ``lines`` lines, so that building it would be
     wasted."""
-    early, floors = _certificate()
     imp = as_implication(goal)
-    if lines >= floors[min(k, 2) - 1] or imp is None:  # 4
+    if lines >= _floors()[min(k, 2) - 1] or imp is None:  # 4
         return False
     a, b = imp
     xy = as_implication(a)
@@ -821,7 +827,7 @@ def _sweep_is_longer(goal: Sentence, tables: Mapping[int, tuple[int, int]],
     full = tables[id(goal)][0]
     return (xy is not None and xy[1] != b and not _is_unit(inner)  # 1
             and tables[id(a)][0] != 0 and tables[id(b)][0] != full  # 2
-            and all(_match(pattern, goal) is None for pattern in early))  # 3
+            and all(_match(pattern, goal) is None for pattern in _early_patterns()))  # 3
 
 
 def _by_deduction(goal: Sentence) -> Deduction | None:

@@ -34,6 +34,13 @@ FORMULAS = ["A", "!A", "B", "A & B", "A | !A", "A -> B", "A & !A", "!!C | B",
 FORMULA_TEXT = st.sampled_from(FORMULAS) | st.text("AB!&|-<>() x", max_size=10)
 RATIONALS = st.sampled_from(["0", "1", "1/2", "1/3", "2/7", "0.25", "3/2",
                              "-1/2", "1/0", "x", "", "1e-99999999"])
+# Broken lines after a repeated group, and a ";" inside a formula.
+BROKEN_PROOFS = {
+    "semicolon": "1. A ; B ; hyp 0\n",
+    "reused": "1. (A -> B) -> (A -> B) ; hyp 0\n2. (A -> B) & (A -> ; hyp 1\n",
+    "tab": "1. (A -> B)\t->\t; hyp 0\n",
+    "head": "1 . A ; hyp 0\n",
+}
 # Proofs citing numerals longer than int() converts from text.
 LONG_NUMERAL_PROOFS = {
     "hyp": "1. A ; hyp " + "9" * 5000 + "\n",
@@ -63,7 +70,8 @@ def files(tmp_path_factory):
         "proof": [write("proof.txt", proof),
                   write("tampered.txt", "1. A -> B -> A ; axiom A2\n"),
                   write("garbage.txt", "hello\n"), str(root / "missing")]
-        + [write(f"long_{name}.txt", text) for name, text in LONG_NUMERAL_PROOFS.items()],
+        + [write(f"long_{name}.txt", text) for name, text in LONG_NUMERAL_PROOFS.items()]
+        + [write(f"broken_{name}.txt", text) for name, text in BROKEN_PROOFS.items()],
         "set": [write("die.txt", "A & B\nA & !B\n!A & B\n!A & !B\n"),
                 write("mixed.txt", "A & B\nA\n"), write("empty.txt", ""),
                 str(root / "missing")],
@@ -194,6 +202,18 @@ def test_long_numeral_is_an_error_line(tmp_path, name):
     assert report.status == "error"
     assert len(report.lines) == 1
     assert report.lines[0].endswith(" digits is too long")
+
+
+@pytest.mark.parametrize("name, line", [
+    ("semicolon", "error: line 1: unexpected character ';' (column 3)"),
+    ("reused", "error: line 2: expected an atom, '!', or '(' (column 17)"),
+    ("tab", "error: line 1: expected an atom, '!', or '(' (column 12)"),
+    ("head", "error: line 1: unrecognized proof line"),
+])
+def test_broken_proof_line_is_an_error_line(tmp_path, name, line):
+    proof = tmp_path / "proof.txt"
+    proof.write_text(BROKEN_PROOFS[name])
+    assert run(["check", str(proof)]).lines == [line]
 
 
 def test_unreadable_text_is_an_error_line(tmp_path):

@@ -1,5 +1,9 @@
 """Axiom matching, deduction checking, and the proof text format."""
 
+import random
+import re
+import time
+
 import pytest
 
 from conftest import make_atoms
@@ -218,3 +222,184 @@ class TestProofText:
             reused += any(key in earlier for key in nodes)
             earlier.update(nodes)
         assert reused > 0
+
+
+def _bench_proofs():
+    from test_synthesis import TestTextRoundTrip
+    return [format_proof(synthesize_proof(parse_formula(text).ast))
+            for text in TestTextRoundTrip._bench_goals()]
+
+
+def _variant(rng, text):
+    """The proof ``text`` respelled line by line: extra parentheses around
+    groups, single spaces as tabs or no-break spaces, and one line's
+    first ``x -> y`` written ``!(x) | y``."""
+    out = []
+    respelled = rng.randrange(text.count("\n"))
+    for i, line in enumerate(text.splitlines()):
+        head, _, rest = line.partition(" ")
+        formula, _, just = rest.rpartition(" ; ")
+        if i == respelled and " -> " in formula:
+            left, _, right = formula.partition(" -> ")
+            if "->" not in left:
+                formula = f"!({left}) | {right}"
+        if rng.random() < 0.5:
+            formula = formula.replace("(", "((", 1).replace(")", "))", 1)
+        formula = "".join(rng.choice([" ", "\t", "\xa0"]) if ch == " " else ch
+                          for ch in formula)
+        out.append(f"{head} {formula} ; {just}")
+    return "\n".join(out) + "\n"
+
+
+class TestParseMemo:
+    """Text met again is the node parsed first, and the parse is the one
+    each line gives on its own."""
+
+    @staticmethod
+    def _line_by_line(text):
+        table, lines = {}, []
+        for line in text.splitlines():
+            formula, _, just = line.partition(". ")[2].rpartition(";")
+            lines.append((parse_formula(formula.strip(), table).ast, just))
+        return lines, list(table)
+
+    def test_each_line_parses_as_on_its_own(self):
+        rng = random.Random(25)
+        texts = _bench_proofs()
+        assert len(texts) == 79
+        for text in texts + [_variant(rng, text) for text in texts]:
+            table = {}
+            d = parse_proof(text, table)
+            lines, names = self._line_by_line(text)
+            assert [s for s, _ in d.lines] == [s for s, _ in lines]
+            assert list(table) == names
+            assert parse_proof(format_proof(d)) == d
+
+    def test_skipped_group_is_the_first_node(self):
+        d = parse_proof("1. (A -> B) -> A ; hyp 0\n2. !(A -> B) & (A -> B) ; hyp 1\n"
+                        "3. A -> B ; hyp 2\n")
+        first = d.lines[0][0].child.left
+        second = d.lines[1][0]
+        assert second.left.child is first and second.right is first
+        assert d.lines[2][0] is first
+
+    def test_consequent_is_the_first_node(self):
+        d = parse_proof("1. A -> !B & C ; hyp 0\n2. !B & C ; hyp 1\n")
+        assert d.lines[1][0] is d.lines[0][0].child.right.child
+
+
+# The line front and validity check of the parent, kept to check that
+# each error is the one they gave.
+_ORACLE_LINE_RE = re.compile(
+    r"^\s*(?P<num>\d+)\.\s*(?P<formula>.*?)\s*;\s*"
+    r"(?:axiom\s+(?P<schema>A[123])"
+    r"|hyp\s+(?P<hyp>\d+)"
+    r"|mp\s+(?P<major>\d+)\s+(?P<minor>\d+))\s*$")
+_ORACLE_VALID_RE = re.compile(r"(?:\s+|[A-Za-z_][A-Za-z0-9_]*|->|[!&|()])*")
+
+
+def _oracle_error(text):
+    """The (class, message, line, column) of the first line front or
+    character error of ``text``, or None where each line's front and
+    characters are valid."""
+    count = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        m = _ORACLE_LINE_RE.match(raw)
+        if m is None:
+            return ProofFormatError, f"line {lineno}: unrecognized proof line", lineno, None
+        count += 1
+        if int(m["num"]) != count:
+            return (ProofFormatError, f"line {lineno}: expected line number {count}, "
+                    f"found {m['num']}", lineno, None)
+        formula = m["formula"]
+        bad = _ORACLE_VALID_RE.match(formula).end()
+        if bad < len(formula):
+            return (FormulaSyntaxError, f"line {lineno}: unexpected character "
+                    f"{formula[bad]!r} (column {bad + 1})", lineno, bad + 1)
+        try:
+            parse_formula(formula)
+        except FormulaSyntaxError as exc:
+            return FormulaSyntaxError, f"line {lineno}: {exc}", lineno, exc.column
+    return None
+
+
+def _mutants(rng, text, n):
+    lines = text.splitlines()
+    for _ in range(n):
+        i = rng.randrange(len(lines))
+        line = lines[i]
+        at = rng.randrange(len(line) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            line = line[:at] + rng.choice(";()->@1\t\xa0") + line[at:]
+        elif kind == 1 and at < len(line):
+            line = line[:at] + line[at + 1:]
+        else:  # repeat an earlier group, then break it
+            start = line.find("(")
+            end = line.find(")", start) + 1
+            if start >= 0 and end:
+                group = line[start:end]
+                line = line[:end] + " & " + group[:rng.randrange(1, len(group))] + line[end:]
+        yield "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+
+
+class TestErrorIdentity:
+    """A broken line raises the error the parent's line front and
+    validity check raised: class, message, line and column."""
+
+    @pytest.mark.parametrize("text", [
+        "1. A ; B ; hyp 0\n",  # a ";" in the formula is a character error
+        "1. A ->  ; hyp 0\n",  # the formula ends where the text did
+        "1. (A\x1c; hyp 0\n",
+        "1. A ;hyp 0 ;\n",
+        "1.; hyp 0\n",
+        "1. A & ; mp 1 1\n",
+    ])
+    def test_line_front_pitfalls(self, text):
+        self._same(text)
+
+    def test_seeded_mutants(self):
+        rng = random.Random(26)
+        raised = 0
+        for text in _bench_proofs()[:20]:
+            for mutant in _mutants(rng, text, 15):
+                raised += self._same(mutant)
+        assert raised > 150
+
+    @staticmethod
+    def _same(text):
+        want = _oracle_error(text)
+        if want is None:
+            parse_proof(text)
+            return False
+        with pytest.raises(want[0]) as err:
+            parse_proof(text)
+        assert (str(err.value), err.value.line, getattr(err.value, "column", None)) == want[1:]
+        return True
+
+
+class TestLinearCost:
+    """Each token is joined into O(1) memo keys, so a deep group costs
+    time linear in its length."""
+
+    @staticmethod
+    def _nested(depth):
+        group = "(" * depth + "A" + ")" * depth
+        return f"1. {group} ; hyp 0\n2. {group} -> {group} ; axiom A1\n"
+
+    def test_two_lines_nest_a_group_deeply(self):
+        d = parse_proof(self._nested(10 ** 5))
+        assert d.lines[1][0] == Implies(A, A)
+
+    def test_twice_the_depth_is_not_four_times_the_time(self):
+        def cost(depth):
+            text = self._nested(depth)
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                parse_proof(text)
+                times.append(time.perf_counter() - start)
+            return min(times)
+        assert cost(4 * 10 ** 4) < 3 * cost(2 * 10 ** 4)

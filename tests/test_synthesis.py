@@ -32,7 +32,7 @@ from plogic.synthesis import (
     _by_contraposition,
     _by_deduction,
     _by_sweep,
-    _certificate,
+    _floors,
     _coarse_tables,
     _coarsest_units,
     _sweep_is_longer,
@@ -538,7 +538,7 @@ class TestSweepPremises:
         """With no lines to beat, condition 4 holds, so the certificate
         reads conditions 1-3 alone.  Some of the draws have a cheap proof
         that only the raised floor shows shorter."""
-        one_split, floor = _certificate()[1]
+        one_split, floor = _floors()
         assert (one_split, floor) == (98, 196)
         passed = decided = 0
         for goal in self._goals(random.Random(25)):
