@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -424,8 +425,16 @@ def _dispatch(args) -> CommandReport:
 
 def main(argv: list[str] | None = None) -> int:
     report = run(sys.argv[1:] if argv is None else argv)
-    for line in report.lines:
-        print(line)
+    try:
+        for line in report.lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: stop writing, and point stdout at
+        # the null device so that the interpreter's final flush of what
+        # is still buffered does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if report.ok else 1
 
 

@@ -114,7 +114,9 @@ class BFunction:
         for idx, w in weights.items():
             if not 0 <= idx < size:
                 raise InvalidArgumentError(f"minterm index {idx} out of range for n={n}")
-            masses[idx] = Fraction(w)
+            # Fraction(w) of a Fraction is an equal copy, built through
+            # the numbers ABC checks; the immutable value itself will do.
+            masses[idx] = w if type(w) is Fraction else Fraction(w)
         weights = [0] * size
         nums, denom = _over_lcm(list(masses.values()))
         for idx, w in zip(masses, nums):
@@ -209,6 +211,18 @@ def classify_pair(bf: BFunction, a: Sentence, b: Sentence) -> PairRelation:
 # minterms have mass zero.  Width is fixed by the first line.
 
 
+def _mass(token: str) -> Fraction:
+    """The rational a mass token spells, as ``Fraction(token)`` reads it.
+    ASCII digits, optionally over ASCII digits, are read by ``int`` alone;
+    every other spelling (a sign, a decimal point, ``_``, other digits)
+    goes through ``Fraction`` and its errors."""
+    num, slash, den = token.partition("/")
+    if num.isascii() and num.isdigit() and (
+            not slash or den.isascii() and den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(token)
+
+
 def load_distribution(text: str | Iterable[str]) -> BFunction:
     """Parse the line-based distribution format, validating width,
     duplicates, signs, and that the masses sum exactly to 1.
@@ -245,7 +259,7 @@ def load_distribution(text: str | Iterable[str]) -> BFunction:
             try:
                 if "e" in value or "E" in value:  # 1e-99999999 builds 10**99999999
                     raise ValueError(f"exponent in {value!r}")
-                mass = Fraction(value)
+                mass = _mass(value)
             except (ValueError, ZeroDivisionError):
                 raise WidthMismatchError(
                     f"line {lineno}: bad rational {value!r}") from None
@@ -264,14 +278,32 @@ def load_distribution(text: str | Iterable[str]) -> BFunction:
     return BFunction._of(n, _checked(weights, denom), denom)
 
 
+def _bit_strings(width: int) -> list[str]:
+    """Every ``width``-bit string, indexed by its value.  Width 0 has one,
+    the empty string (``f"{0:00b}"`` would print "0")."""
+    if not width:
+        return [""]
+    return [format(i, f"0{width}b") for i in range(1 << width)]
+
+
 def dump_distribution(bf: BFunction) -> str:
     """Render the nonzero minterms in the distribution file format; the
-    mass text of each distinct weight is formatted once."""
+    mass text of each distinct weight is formatted once, and each bit
+    string is joined from two half-width strings, each formatted once.
+
+    A measure on 0 atoms is refused: the format reads its width off the
+    bit strings, so no line could load back as 0 atoms."""
     n, weights, denom = bf.n, bf.weights, bf.denom
+    if n == 0:
+        raise InvalidArgumentError(
+            "a measure on 0 atoms has no distribution file form")
     tail = {}
     for w in set(weights):
         common = gcd(w, denom)
         tail[w] = f" {w // common}/{denom // common}"
-    out = [f"{idx:0{n}b}{tail[weights[idx]]}"
+    low = n // 2
+    mask = (1 << low) - 1
+    hi, lo = _bit_strings(n - low), _bit_strings(low)
+    out = [hi[idx >> low] + lo[idx & mask] + tail[weights[idx]]
            for idx in compress(range(len(weights)), weights)]
     return "\n".join(out) + "\n"

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .density import DEFAULT_HORIZON, NO, YES, Verdict, check_horizon, unknown
 from .errors import InvalidArgumentError, ReciprocalOfInfinitesimalOrZeroError
@@ -377,10 +378,21 @@ def _order(x: QNumber, y: QNumber) -> int | None:
     return signs.pop() if len(signs) == 1 else None
 
 
-def _sweep(horizon: int, hit: Callable[[int], bool]) -> Verdict:
-    """Unknown, with the share of indices 1..horizon where ``hit`` holds."""
-    count = sum(1 for n in range(1, horizon + 1) if hit(n))
-    return unknown(horizon, Fraction(count, horizon))
+def _exact(v) -> Fraction | int:
+    """A term as ``term`` reads it: an int or a Fraction as it is, any
+    other value through ``Fraction``."""
+    return v if type(v) is Fraction or type(v) is int else Fraction(v)
+
+
+def _terms(x: QNumber, horizon: int) -> Iterator[Fraction | int]:
+    """Terms 1..horizon of x, read lazily, each once."""
+    return map(_exact, map(x.seq, range(1, horizon + 1)))
+
+
+def _sweep(horizon: int, hits: Iterable[bool]) -> Verdict:
+    """Unknown, with the share of the ``horizon`` indices whose hit is
+    true."""
+    return unknown(horizon, Fraction(sum(hits), horizon))
 
 
 def invertible(x: QNumber) -> Verdict:
@@ -394,7 +406,7 @@ def invertible(x: QNumber) -> Verdict:
     slots = _cycle_slots(x, zero)
     if slots and all(_order(a, b) for a, b in slots):
         return YES  # every slot is nonzero on a density-one part of it
-    return _sweep(DEFAULT_HORIZON, lambda n: x.term(n) != 0)
+    return _sweep(DEFAULT_HORIZON, map(bool, _terms(x, DEFAULT_HORIZON)))
 
 
 def _cycle_slots(x: QNumber, y: QNumber) -> list[tuple[QNumber, QNumber]]:
@@ -419,7 +431,8 @@ def q_equal(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
         return NO if order else YES
     if any(_order(a, b) for a, b in _cycle_slots(x, y)):
         return NO  # a slot decided unequal has positive density
-    return _sweep(horizon, lambda n: x.term(n) == y.term(n))
+    # map reads x's term before y's at each index, as term() pairs would.
+    return _sweep(horizon, map(operator.eq, _terms(x, horizon), _terms(y, horizon)))
 
 
 def q_less(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
@@ -428,7 +441,7 @@ def q_less(x: QNumber, y: QNumber, horizon: int = DEFAULT_HORIZON) -> Verdict:
     order = _order(x, y)
     if order is not None:
         return YES if order < 0 else NO
-    return _sweep(horizon, lambda n: x.term(n) < y.term(n))
+    return _sweep(horizon, map(operator.lt, _terms(x, horizon), _terms(y, horizon)))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Command-line behavior: outputs, exit codes, and file handling."""
 
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import plogic
 from conftest import recursion_headroom
 from plogic.cli import fmt_decimal, fmt_rational, main, run
 from plogic.measures import load_distribution
@@ -302,6 +307,23 @@ class TestExitCodes:
     def test_unknown_command_is_nonzero(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    def test_closed_pipe_is_status_one_and_no_traceback(self):
+        # About 0.9 MB of output, far past a pipe's buffer, so the CLI is
+        # still writing when the reader closes after the first line.
+        src = str(Path(plogic.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plogic.cli", "bernoulli", "--r", "1000", "--p", "1/3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first.startswith(b"0 ")
+        assert err == b""
 
     def test_deep_goal_is_proved_and_checked(self, capsys, tmp_path):
         # A derivable one-atom goal 400 `!` deep, with little stack to spare.

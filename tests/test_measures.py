@@ -1,6 +1,7 @@
 """Exact-rational sentence valuations: laws, conditioning, file format."""
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -49,7 +50,9 @@ from plogic.measures import (
     is_p_function,
     load_distribution,
 )
+from plogic.measures import _mass
 from plogic.synthesis import synthesize_proof
+from plogic.trials import TestSequence, product_bfunction
 
 A, B, C = make_atoms("ABC")
 HALF = Fraction(1, 2)
@@ -419,6 +422,90 @@ class TestMassTokenMemo:
         bf = load_distribution("00 1/4\n01 2/8\n10 0.25\n11 +1/4\n")
         assert bf == BFunction.uniform(2)
         assert (bf.weights, bf.denom) == ((1, 1, 1, 1), 4)
+
+
+def _reference_dump(bf):
+    """The dump text as one full-width format per line, the spec the
+    half-table dumper must match byte for byte."""
+    lines = [f"{idx:0{bf.n}b} {Fraction(w, bf.denom).numerator}/"
+             f"{Fraction(w, bf.denom).denominator}"
+             for idx, w in enumerate(bf.weights) if w]
+    return "\n".join(lines) + "\n"
+
+
+class TestDumpText:
+    """The dump is byte-identical to formatting each line in full, at odd
+    and even widths, and a width it cannot print is refused."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_seeded_measures(self, n):
+        rng = random.Random(1000 + n)
+        size = 1 << n
+        dense = [rng.randrange(1, 65) for _ in range(size)]
+        sparse = [w if rng.random() < 0.125 else 0 for w in dense]
+        sparse[rng.randrange(size)] = 1
+        for weights in (dense, sparse):
+            total = sum(weights)
+            bf = BFunction.from_weights(
+                n, {i: Fraction(w, total) for i, w in enumerate(weights) if w})
+            assert dump_distribution(bf) == _reference_dump(bf)
+
+    def test_product_measure_at_the_cap(self):
+        # Pinned from the text that one format per line printed: 2^20 lines.
+        bf = product_bfunction(TestSequence.of(MAX_ATOMS, Fraction(1, 3)))
+        text = dump_distribution(bf).encode()
+        assert len(text) == 38_365_403
+        assert hashlib.sha256(text).hexdigest() == (
+            "aafcdd7c4e9ab23d786fc5553e84e9e88ccdba2e3ab4d07dca1286f5a8add216")
+
+    def test_zero_atoms_is_refused(self):
+        # A bit string of width 0 is no token, so no file loads back as
+        # n = 0; one that printed "0" loaded back as a measure on 1 atom.
+        with pytest.raises(InvalidArgumentError,
+                           match="^a measure on 0 atoms has no distribution file form$"):
+            dump_distribution(BFunction.uniform(0))
+
+    def test_one_atom_round_trips(self):
+        for bf in (BFunction.uniform(1), from_valuation(Valuation((1,))),
+                   BFunction(1, (Fraction(1, 3), Fraction(2, 3)))):
+            assert load_distribution(dump_distribution(bf)) == bf
+
+
+class TestMassTokens:
+    """A mass token of ASCII digits is read by ``int``; every token reads
+    as ``Fraction(token)`` does, with the same error class and message."""
+
+    TOKENS = ["0", "00", "7", "007/0004", "1/0", "0/5", "3/4", "12/36",
+              "1" * 5000, "1/" + "1" * 5000, "1" * 4300 + "/3",
+              "+1/2", "-1/2", "1_0/3", "1/1_0", "\uff11/2", "3/\u0663", "\u00b2/3",
+              "3/\u00b2", "0.5", ".5", "5.", "/3", "3/", "3//4", "1/2/3", "",
+              "inf", "nan", "0x10", "1e3", " 3", "3 "]
+
+    @staticmethod
+    def _outcome(read, token):
+        try:
+            return "ok", read(token)
+        except (ValueError, ZeroDivisionError) as err:
+            return type(err), str(err)
+
+    def test_listed_tokens(self):
+        for token in self.TOKENS:
+            assert self._outcome(_mass, token) == self._outcome(Fraction, token), token
+
+    def test_seeded_tokens(self):
+        rng = random.Random(26)
+        alphabet = "0123456789/+-._ \u0663"
+        for _ in range(3000):
+            token = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 8)))
+            assert self._outcome(_mass, token) == self._outcome(Fraction, token), token
+
+    def test_distinct_masses_round_trip(self):
+        rng = random.Random(27)
+        weights = rng.sample(range(1, 10**9), 1 << 10)
+        total = sum(weights)
+        bf = BFunction.from_weights(
+            10, {i: Fraction(w, total) for i, w in enumerate(weights)})
+        assert load_distribution(dump_distribution(bf)) == bf
 
 
 class TestConstructionAndDomains:

@@ -1,12 +1,14 @@
 """Sequence numbers: lifted arithmetic, filter verdicts, classification."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plogic.density import DEFAULT_HORIZON
 from plogic.errors import InvalidArgumentError, ReciprocalOfInfinitesimalOrZeroError
 from plogic.qnumbers import (
     cycle,
@@ -473,3 +475,91 @@ class TestVerdictsAgree:
         eq = q_equal(x, standard(0), horizon=50)
         if not (inv.is_unknown or eq.is_unknown):
             assert inv.is_yes == eq.is_no
+
+
+#: Representative sequences whose ``seq`` returns each kind of value that
+#: ``term`` accepts; every term is exact in its own kind.
+_KINDS = {
+    "int": lambda n: (n * 3) % 5 - 2,
+    "bool": lambda n: n % 3 == 0,
+    "float": lambda n: ((n * 5) % 7 - 3) / 4,
+    "str": lambda n: f"{(n * 2) % 5 - 2}/{n % 3 + 1}",
+    "Decimal": lambda n: Decimal((n * 3) % 7 - 3) / Decimal(2),
+    "Fraction": lambda n: F((n * 4) % 9 - 4, 2),
+}
+
+
+def _share(horizon, hit):
+    return F(sum(1 for n in range(1, horizon + 1) if hit(n)), horizon)
+
+
+def _raising_at(k, label):
+    def seq(n):
+        if n == k:
+            raise LookupError(f"{label} at {n}")
+        return F(n % 4, 3)
+    return from_function(seq)
+
+
+class TestSweepReads:
+    """A sweep's evidence is the share counted over ``term`` itself, and a
+    term that fails raises the same error at the same index."""
+
+    HORIZON = 300
+
+    @pytest.mark.parametrize("xkind", sorted(_KINDS))
+    @pytest.mark.parametrize("ykind", sorted(_KINDS))
+    def test_equal_and_less_count_over_terms(self, xkind, ykind):
+        x, y = from_function(_KINDS[xkind]), from_function(_KINDS[ykind])
+        h = self.HORIZON
+        for verdict, hit in (
+                (q_equal(x, y, h), lambda n: x.term(n) == y.term(n)),
+                (q_less(x, y, h), lambda n: x.term(n) < y.term(n))):
+            assert verdict.is_unknown
+            assert (verdict.horizon, verdict.frequency) == (h, _share(h, hit))
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_invertible_counts_over_terms(self, kind):
+        x = from_function(_KINDS[kind])
+        verdict = invertible(x)
+        assert verdict.is_unknown
+        assert verdict.horizon == DEFAULT_HORIZON
+        assert verdict.frequency == _share(DEFAULT_HORIZON, lambda n: x.term(n) != 0)
+
+    def test_share_is_not_trivial(self):
+        # The kinds agree and disagree often enough to test the count.
+        x, y = from_function(_KINDS["str"]), from_function(_KINDS["Fraction"])
+        assert 0 < q_equal(x, y, self.HORIZON).frequency < 1
+        assert 0 < q_less(x, y, self.HORIZON).frequency < 1
+
+    def test_a_failing_term_raises_its_own_error(self):
+        x, plain = _raising_at(5, "x"), from_function(_KINDS["Fraction"])
+        for sweep in (lambda: q_equal(x, plain), lambda: q_equal(plain, x),
+                      lambda: q_less(x, plain), lambda: q_less(plain, x),
+                      lambda: invertible(x)):
+            with pytest.raises(LookupError, match="^x at 5$"):
+                sweep()
+
+    def test_the_earlier_index_fails_first(self):
+        x, y = _raising_at(5, "x"), _raising_at(3, "y")
+        for sweep in (q_equal, q_less):
+            with pytest.raises(LookupError, match="^y at 3$"):
+                sweep(x, y)
+            with pytest.raises(LookupError, match="^y at 3$"):
+                sweep(y, x)
+
+    def test_x_is_read_before_y_at_one_index(self):
+        x, y = _raising_at(4, "x"), _raising_at(4, "y")
+        for sweep in (q_equal, q_less):
+            with pytest.raises(LookupError, match="^x at 4$"):
+                sweep(x, y)
+            with pytest.raises(LookupError, match="^y at 4$"):
+                sweep(y, x)
+
+    def test_a_term_fraction_refuses_raises_as_term_does(self):
+        x = from_function(lambda n: "half" if n == 7 else n)
+        with pytest.raises(ValueError) as direct:
+            x.term(7)
+        with pytest.raises(ValueError) as swept:
+            q_equal(x, from_function(_KINDS["int"]))
+        assert str(swept.value) == str(direct.value)
